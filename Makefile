@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet lint vet-sarif test race obs-demo obs-demo-parallel chaos-demo chaos-golden checkpoint-demo prof-demo fleet-demo serve-demo bench bench-checkpoint bench-fleet bench-diff
+.PHONY: check build fmt vet lint vet-sarif test race guard obs-demo obs-demo-parallel chaos-demo chaos-golden checkpoint-demo prof-demo fleet-demo serve-demo bench bench-checkpoint bench-fleet bench-diff
 
 # check is the full gate, in fail-fast order: cheap static checks first,
 # then the test suites.
-check: build fmt vet lint test race
+check: build fmt vet lint test race guard
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,16 @@ test:
 # synchronized.
 race:
 	$(GO) test -race ./...
+
+# guard covers what root `./...` cannot reach. The benchmark is a
+# separate module (bench/), so vetting it and running its pinned-digest
+# tests is what fails when a change deletes or reshapes an API the
+# benchmark calls. The last step fuzzes the profiler-snapshot decoder
+# briefly on top of its committed corpus.
+guard:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test -run 'TestPinnedDigests|TestBenchmarkJSONListsEveryMetric' ./...
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreProfiler$$' -fuzztime 10s ./internal/profile
 
 # obs-demo runs one seeded scenario twice with telemetry export and
 # byte-compares the artifacts: the executable form of the determinism

@@ -110,19 +110,31 @@ func delta(old, new float64) string {
 	return fmt.Sprintf("%.0f -> %.0f (%+.1f%%)", old, new, (new-old)/old*100)
 }
 
+// benchKey drops the "-N" GOMAXPROCS suffix go test appends to a
+// benchmark name when N > 1, so a baseline recorded at one CPU count
+// still matches (and drift-checks) results taken at another.
+func benchKey(name string) string {
+	if i := strings.LastIndexByte(name, '-'); i > 0 {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i]
+		}
+	}
+	return name
+}
+
 // diff compares fresh results against the baseline document and writes a
 // per-benchmark delta table plus a metric-drift report to w. It returns
 // the number of drifted custom metrics.
 func diff(w io.Writer, baseline document, fresh []result) int {
 	base := make(map[string]result, len(baseline.Benchmarks))
 	for _, b := range baseline.Benchmarks {
-		base[b.Name] = b
+		base[benchKey(b.Name)] = b
 	}
 	tw := newTable(w, "benchmark", "ns/op", "B/op", "allocs/op")
 	drift := 0
 	var driftLines []string
 	for _, f := range fresh {
-		b, ok := base[f.Name]
+		b, ok := base[benchKey(f.Name)]
 		if !ok {
 			tw.row(f.Name+" (new)", delta(0, f.NsPerOp), delta(0, f.BPerOp), delta(0, f.AllocsOp))
 			continue

@@ -97,3 +97,18 @@ func TestDiffNewBenchmark(t *testing.T) {
 		t.Errorf("missing (new) marker:\n%s", sb.String())
 	}
 }
+
+// TestDiffIgnoresProcsSuffix: results taken with GOMAXPROCS > 1 carry a
+// "-N" name suffix the committed baselines lack; they must still be
+// matched, so a drifted figure metric is caught rather than reported as
+// a new benchmark.
+func TestDiffIgnoresProcsSuffix(t *testing.T) {
+	fresh := []result{{Name: "BenchmarkFig8MigrationBandwidth-2",
+		Metrics: map[string]float64{"vulcan-MB/s@large": 1850}}}
+	baseline := document{Benchmarks: []result{{Name: "BenchmarkFig8MigrationBandwidth",
+		Metrics: map[string]float64{"vulcan-MB/s@large": 1851}}}}
+	var sb strings.Builder
+	if drift := diff(&sb, baseline, fresh); drift != 1 {
+		t.Fatalf("drift = %d, want 1\n%s", drift, sb.String())
+	}
+}

@@ -98,11 +98,6 @@ func TestFacadeWorkloadPresets(t *testing.T) {
 			t.Errorf("%s paper footprint = %d GB, want %d", tc.cfg.Name, got, tc.gb)
 		}
 	}
-	micro := vulcan.Microbenchmark("m", 1000, 100, 0.5)
-	micro.Validate()
-	if micro.RSSPages != 1000 {
-		t.Fatal("microbenchmark preset wrong")
-	}
 }
 
 // TestFacadeJainIndex sanity-checks the exported fairness metric.

@@ -12,6 +12,9 @@ import (
 //	//vulcan:allowalloc <why>   waives one hotalloc finding, with a reason
 //	//vulcan:nosnap <why>       waives one snapfields finding, with a reason
 //	//vulcan:lablocked <why>    waives one labonly sync finding, with a reason
+//	//vulcan:keep <why>         keeps one exported identifier without a
+//	                            non-test caller (the dead-API guard in
+//	                            internal/analysis/driver), with a reason
 //
 // Waiver directives attach to the flagged line itself or to the line
 // directly above it (the only placement that works for declarations that

@@ -119,18 +119,6 @@ type Plan struct {
 	// Rules arm the fault kinds. An empty rule set injects nothing.
 	Rules []Rule
 
-	// Correlate couples migration failures to latency-spike windows,
-	// modeling the real-world pattern where both symptoms share one
-	// cause (a congested or misbehaving far-memory device): when on,
-	// MigrationFail can only fire during an epoch whose slow-tier
-	// LatencySpike window is open — both kinds key off that one shared
-	// per-window draw — and fires there with conditional probability
-	// min(1, rate_mf/rate_ls), preserving the marginal failure rate
-	// whenever rate_mf ≤ rate_ls. Off (the default) keeps the two
-	// schedules independent and is byte-identical to plans predating
-	// the knob. Needs both kinds armed to change anything.
-	Correlate bool
-
 	// RetryBudget caps transiently-failed-page retry attempts per app
 	// per epoch (default 128 pages).
 	RetryBudget int

@@ -12,7 +12,7 @@ import (
 
 func TestAccessCyclesZeroAlloc(t *testing.T) {
 	c := DefaultCostModel()
-	tiers := mem.NewDefaultTiers()
+	tiers := mem.NewTiers(mem.DefaultConfig())
 	fast, slow := tiers.Fast(), tiers.Slow()
 
 	if allocs := testing.AllocsPerRun(200, func() {

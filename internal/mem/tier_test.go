@@ -143,35 +143,6 @@ func TestLoadedLatencyRamp(t *testing.T) {
 	}
 }
 
-func TestLoadedLatencyMM1(t *testing.T) {
-	tr := NewTier(TierSlow, TierConfig{
-		Name:            "slow",
-		CapacityPages:   4,
-		UnloadedLatency: 162 * sim.Nanosecond,
-		BandwidthGBs:    25,
-		Model:           LatencyMM1,
-	})
-	idle := tr.LoadedLatency(0)
-	if idle != 162*sim.Nanosecond {
-		t.Fatalf("idle = %v", idle)
-	}
-	// M/M/1: at ρ=0.5 latency doubles.
-	if got := tr.LoadedLatency(0.5); got != 2*idle {
-		t.Fatalf("ρ=0.5 latency = %v, want 2x idle", got)
-	}
-	// The curve caps at 10x near saturation instead of diverging.
-	if got := tr.LoadedLatency(0.99); got != 10*idle {
-		t.Fatalf("near-saturation latency = %v, want 10x cap", got)
-	}
-	if tr.LoadedLatency(1) != 10*idle {
-		t.Fatal("saturation not capped")
-	}
-	// Monotone within the uncapped region.
-	if !(tr.LoadedLatency(0.2) < tr.LoadedLatency(0.6)) {
-		t.Fatal("MM1 curve not monotone")
-	}
-}
-
 func TestTierAllocFreeInvariant(t *testing.T) {
 	// Property: after any interleaving of allocs and frees,
 	// used + free == capacity and no frame is handed out twice.

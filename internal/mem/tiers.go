@@ -45,9 +45,6 @@ func NewTiers(cfgs [NumTiers]TierConfig) *Tiers {
 	return ts
 }
 
-// NewDefaultTiers builds the default scaled paper configuration.
-func NewDefaultTiers() *Tiers { return NewTiers(DefaultConfig()) }
-
 // Tier returns the tier with the given ID.
 func (ts *Tiers) Tier(id TierID) *Tier {
 	if !id.Valid() {

@@ -116,33 +116,6 @@ func TestEMAAlphaValidation(t *testing.T) {
 	NewEMA(1) // boundary is legal
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); got != c.want {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	// Interpolation between order statistics.
-	if got := Percentile([]float64{0, 10}, 0.5); got != 5 {
-		t.Errorf("interpolated median = %v, want 5", got)
-	}
-	if Percentile(nil, 0.5) != 0 {
-		t.Error("empty percentile not 0")
-	}
-	// Input must be unmodified.
-	if xs[0] != 5 {
-		t.Error("Percentile mutated its input")
-	}
-	// Out-of-range p clamps.
-	if Percentile(xs, -1) != 1 || Percentile(xs, 2) != 5 {
-		t.Error("p clamping wrong")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(0, 10, 10)
 	for i := 0; i < 10; i++ {

@@ -271,10 +271,3 @@ func (a *AsyncMigrator) RunEpoch(budgetCycles float64, writeProb func(vp pagetab
 	}
 	return res
 }
-
-// DropBacklog clears all pending moves (used when a policy epoch
-// invalidates prior decisions).
-func (a *AsyncMigrator) DropBacklog() {
-	a.pending = a.pending[:0]
-	a.queued.Clear()
-}

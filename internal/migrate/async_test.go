@@ -146,20 +146,6 @@ func TestAsyncStatsAccumulate(t *testing.T) {
 	}
 }
 
-func TestAsyncDropBacklog(t *testing.T) {
-	a, _, _ := asyncEnv(t, 8)
-	a.Enqueue(Move{VP: 0, To: mem.TierFast})
-	a.DropBacklog()
-	if a.Backlog() != 0 {
-		t.Fatal("backlog survived drop")
-	}
-	// Page can be re-enqueued after a drop.
-	a.Enqueue(Move{VP: 0, To: mem.TierFast})
-	if a.Backlog() != 1 {
-		t.Fatal("re-enqueue after drop failed")
-	}
-}
-
 func TestAsyncConfigValidation(t *testing.T) {
 	eng, _, _ := testEnv(t, 2, 2, nil)
 	func() {

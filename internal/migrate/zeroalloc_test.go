@@ -106,11 +106,12 @@ func TestObsEnabledNilSinkZeroAlloc(t *testing.T) {
 func TestAsyncEnqueueOneSteadyStateAllocs(t *testing.T) {
 	e, _, _ := testEnv(t, 4, 32, nil)
 	a := NewAsyncMigrator(AsyncConfig{Engine: e, BatchPages: 8})
-	// Warm up: grow pending/queued, then drain.
+	// Warm up: grow pending/queued, then empty them.
 	for vp := pagetable.VPage(0); vp < 16; vp++ {
 		a.EnqueueOne(Move{VP: vp, To: mem.TierFast})
 	}
-	a.DropBacklog()
+	a.pending = a.pending[:0]
+	a.queued.Clear()
 	vp := pagetable.VPage(0)
 	allocs := testing.AllocsPerRun(8, func() {
 		a.EnqueueOne(Move{VP: vp, To: mem.TierFast})

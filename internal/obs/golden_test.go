@@ -26,8 +26,8 @@ func TestMetricsCSVGolden(t *testing.T) {
 
 	// Register instruments in deliberately unsorted order: the export
 	// must sort by identity, not registration order.
-	promoted := reg.Counter("migrate.pages", App("pagerank"), L("dir", "promote"))
-	demoted := reg.Counter("migrate.pages", App("memcached"), L("dir", "demote"))
+	promoted := reg.Counter("migrate.pages", App("pagerank"), Label{Key: "dir", Val: "promote"})
+	demoted := reg.Counter("migrate.pages", App("memcached"), Label{Key: "dir", Val: "demote"})
 	fthr := reg.Gauge("app.fthr", App("memcached"))
 	lat := reg.Histogram("access.latency", 0, 1000, 10, Tier("fast"))
 

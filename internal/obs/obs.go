@@ -165,10 +165,6 @@ func ParseFilter(spec string) (TypeSet, error) {
 	return s, nil
 }
 
-// Names returns every event type name, in enum order (for -obs-filter
-// usage text and tests).
-func Names() []string { return append([]string(nil), eventTypeNames[:]...) }
-
 // Field is one key→value attribute of an event. Fields are an ordered
 // slice, never a map, so exporters replay identically.
 type Field struct {
@@ -231,13 +227,6 @@ type Sink interface {
 //
 // A nil sink short-circuits before any allocation.
 func Enabled(s Sink, t EventType) bool { return s != nil && s.Enabled(t) }
-
-// Emit sends e to s if s is non-nil and wants the type.
-func Emit(s Sink, e Event) {
-	if s != nil && s.Enabled(e.Type) {
-		s.Event(e)
-	}
-}
 
 // RegistryOf returns the metrics registry behind a sink, or nil when
 // the sink is nil or carries none. Layers that maintain counters and

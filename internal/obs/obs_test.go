@@ -51,7 +51,6 @@ func TestNilSinkIsSafe(t *testing.T) {
 	if Enabled(nil, EvEpoch) {
 		t.Fatal("nil sink enabled")
 	}
-	Emit(nil, E(EvEpoch, "", "epoch", 0)) // must not panic
 	if RegistryOf(nil) != nil {
 		t.Fatal("nil sink has a registry")
 	}
@@ -62,7 +61,7 @@ func TestRecorderStampsSimTime(t *testing.T) {
 	r := NewRecorder()
 	r.BindClock(&clk)
 	clk.Advance(5 * sim.Millisecond)
-	Emit(r, E(EvEpoch, "", "epoch", sim.Second))
+	r.Event(E(EvEpoch, "", "epoch", sim.Second))
 	evs := r.Events()
 	if len(evs) != 1 || evs[0].Time != sim.Time(5*sim.Millisecond) {
 		t.Fatalf("events = %+v", evs)
@@ -72,8 +71,8 @@ func TestRecorderStampsSimTime(t *testing.T) {
 func TestRecorderFilterDropsEvents(t *testing.T) {
 	r := NewRecorder()
 	r.SetFilter(TypeSet(0).With(EvShootdown))
-	Emit(r, E(EvEpoch, "", "epoch", 0))
-	Emit(r, E(EvShootdown, "a", "migrate", 10, F("targets", 3)))
+	r.Event(E(EvEpoch, "", "epoch", 0))
+	r.Event(E(EvShootdown, "a", "migrate", 10, F("targets", 3)))
 	if n := len(r.Events()); n != 1 {
 		t.Fatalf("recorded %d events, want 1", n)
 	}
@@ -164,16 +163,16 @@ func buildSampleRecorder() *Recorder {
 	var clk sim.Clock
 	r := NewRecorder()
 	r.BindClock(&clk)
-	Emit(r, E(EvAppStart, "memcached", "app", 0, F("rss_pages", 100)))
-	Emit(r, E(EvShootdown, "memcached", "migrate", 2*sim.Microsecond,
+	r.Event(E(EvAppStart, "memcached", "app", 0, F("rss_pages", 100)))
+	r.Event(E(EvShootdown, "memcached", "migrate", 2*sim.Microsecond,
 		F("pages", 8), F("targets", 4)))
-	Emit(r, E(EvShootdown, "memcached", "migrate", 2*sim.Microsecond,
+	r.Event(E(EvShootdown, "memcached", "migrate", 2*sim.Microsecond,
 		F("pages", 4), F("targets", 2)))
 	ev := E(EvQoSAdapt, "", "qos", 0, F("units", 512))
 	ev.Note = `transfer "pool"->memcached`
-	Emit(r, ev)
+	r.Event(ev)
 	clk.Advance(sim.Second)
-	Emit(r, E(EvEpoch, "", "epoch", sim.Second, F("epoch", 0)))
+	r.Event(E(EvEpoch, "", "epoch", sim.Second, F("epoch", 0)))
 	reg := r.Metrics()
 	reg.Gauge("fast_pages", App("memcached")).Set(42)
 	reg.Counter("demand_faults", App("memcached")).Add(7)

@@ -56,6 +56,8 @@ type SelfStats struct {
 }
 
 // ReadSelfStats samples the runtime's GC/allocation counters.
+//
+//vulcan:keep the root package's figure benchmarks report GC and allocation deltas through it
 func ReadSelfStats() SelfStats {
 	samples := []metrics.Sample{
 		{Name: "/gc/cycles/total:gc-cycles"},

@@ -81,9 +81,6 @@ func (r *Recorder) StreamTo(ts *TraceStream, cs *CSVStream) {
 	r.csv = cs
 }
 
-// Streaming reports whether the recorder forwards to live sinks.
-func (r *Recorder) Streaming() bool { return r.trace != nil || r.csv != nil }
-
 // Event implements Sink: the event is stamped with the sim clock's
 // current time (unless the caller pre-stamped it) and buffered, or
 // forwarded straight to the trace stream in streaming mode.
@@ -107,9 +104,6 @@ func (r *Recorder) Event(e Event) {
 // trace export as counter tracks (one "cost.<subsystem>" counter per
 // app). A nil p detaches.
 func (r *Recorder) AttachCostProfiler(p *prof.Profiler) { r.cost = p }
-
-// CostProfiler returns the attached cost profiler (nil if detached).
-func (r *Recorder) CostProfiler() *prof.Profiler { return r.cost }
 
 // Metrics returns the registry (see RegistryOf).
 func (r *Recorder) Metrics() *Registry { return r.reg }

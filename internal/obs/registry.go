@@ -15,9 +15,6 @@ type Label struct {
 	Val string
 }
 
-// L builds one label.
-func L(key, val string) Label { return Label{Key: key, Val: val} }
-
 // App is the canonical per-application label.
 func App(name string) Label { return Label{Key: "app", Val: name} }
 

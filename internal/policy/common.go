@@ -182,55 +182,11 @@ func (b *RankBuf) PromoteMoves(vps []pagetable.VPage) []migrate.Move {
 	return out
 }
 
-// MergedRanking returns every profiled page of every started app, hottest
-// first, with app-intensity weighting. Allocates fresh slices; policies
-// on the per-epoch path use RankBuf.MergedRanking instead.
-func MergedRanking(sys *system.System) []GlobalPage {
-	var b RankBuf
-	return b.MergedRanking(sys)
-}
-
-// ColdestFastPages returns up to n of app's fast-tier pages ordered by
-// ascending profiled heat (unprofiled pages count as coldest), skipping
-// pages in keep. Allocates fresh slices; policies on the per-epoch path
-// use RankBuf.ColdestFastPages instead.
-func ColdestFastPages(a *system.App, n int, keep map[pagetable.VPage]bool) []pagetable.VPage {
-	var b RankBuf
-	return b.ColdestFastPages(a, n, keep)
-}
-
-// GlobalColdestFastPages returns up to n fast-resident pages across all
-// started apps, coldest first by intensity-weighted heat. Allocates fresh
-// slices; policies on the per-epoch path use
-// RankBuf.GlobalColdestFastPages instead.
-func GlobalColdestFastPages(sys *system.System, n int, keep map[*system.App]map[pagetable.VPage]bool) []GlobalVictim {
-	var b RankBuf
-	return b.GlobalColdestFastPages(sys, n, keep)
-}
-
 // EnqueueVictims spreads demotions onto each victim's own app queue.
 func EnqueueVictims(victims []GlobalVictim) {
 	for _, v := range victims {
 		v.App.Async.EnqueueOne(migrate.Move{VP: v.VP, To: mem.TierSlow})
 	}
-}
-
-// DemoteMoves builds slow-tier moves for the given pages.
-func DemoteMoves(vps []pagetable.VPage) []migrate.Move {
-	out := make([]migrate.Move, len(vps))
-	for i, vp := range vps {
-		out[i] = migrate.Move{VP: vp, To: mem.TierSlow}
-	}
-	return out
-}
-
-// PromoteMoves builds fast-tier moves for the given pages.
-func PromoteMoves(vps []pagetable.VPage) []migrate.Move {
-	out := make([]migrate.Move, len(vps))
-	for i, vp := range vps {
-		out[i] = migrate.Move{VP: vp, To: mem.TierFast}
-	}
-	return out
 }
 
 // profilerSeed derives a deterministic per-app profiler seed.
@@ -242,19 +198,4 @@ func profilerSeed(app *system.App) uint64 {
 func FreeFastFraction(sys *system.System) float64 {
 	f := sys.Tiers().Fast()
 	return float64(f.FreePages()) / float64(f.Capacity())
-}
-
-// SlowPagesWithHeat returns app pages resident in the slow tier that have
-// nonzero profiled heat, hottest first, capped at limit.
-func SlowPagesWithHeat(a *system.App, limit int) []pagetable.VPage {
-	var out []pagetable.VPage
-	for _, ph := range a.Profiler.HeatSnapshot() {
-		if len(out) >= limit {
-			break
-		}
-		if p, ok := a.Table.Lookup(ph.VP); ok && p.Frame().Tier == mem.TierSlow {
-			out = append(out, ph.VP)
-		}
-	}
-	return out
 }

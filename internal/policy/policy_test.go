@@ -193,7 +193,7 @@ func TestMergedRankingWeightsByIntensity(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		sys.RunEpoch()
 	}
-	ranking := MergedRanking(sys)
+	ranking := new(RankBuf).MergedRanking(sys)
 	if len(ranking) == 0 {
 		t.Fatal("empty merged ranking")
 	}
@@ -219,7 +219,7 @@ func TestColdestFastPagesOrdering(t *testing.T) {
 	sys := colo(t, system.NullPolicy{}, 1024)
 	sys.RunEpoch()
 	lc := sys.App("lc")
-	cold := ColdestFastPages(lc, 10, nil)
+	cold := new(RankBuf).ColdestFastPages(lc, 10, nil)
 	if len(cold) != 10 {
 		t.Fatalf("got %d victims", len(cold))
 	}
@@ -237,7 +237,7 @@ func TestColdestFastPagesOrdering(t *testing.T) {
 	}
 	// Keep-set is honored.
 	keep := map[pagetable.VPage]bool{cold[0]: true}
-	cold2 := ColdestFastPages(lc, 10, keep)
+	cold2 := new(RankBuf).ColdestFastPages(lc, 10, keep)
 	for _, vp := range cold2 {
 		if vp == cold[0] {
 			t.Fatal("kept page selected as victim")
@@ -248,7 +248,7 @@ func TestColdestFastPagesOrdering(t *testing.T) {
 func TestGlobalColdestSkipsKeepAndOrders(t *testing.T) {
 	sys := colo(t, system.NullPolicy{}, 1024)
 	sys.RunEpoch()
-	victims := GlobalColdestFastPages(sys, 50, nil)
+	victims := new(RankBuf).GlobalColdestFastPages(sys, 50, nil)
 	if len(victims) != 50 {
 		t.Fatalf("got %d global victims", len(victims))
 	}
@@ -258,21 +258,16 @@ func TestGlobalColdestSkipsKeepAndOrders(t *testing.T) {
 			t.Fatal("global victim not fast-resident")
 		}
 	}
-	if GlobalColdestFastPages(sys, 0, nil) != nil {
+	if new(RankBuf).GlobalColdestFastPages(sys, 0, nil) != nil {
 		t.Fatal("n=0 returned victims")
 	}
 }
 
 func TestMoveBuilders(t *testing.T) {
 	vps := []pagetable.VPage{1, 2, 3}
-	for i, mv := range PromoteMoves(vps) {
+	for i, mv := range new(RankBuf).PromoteMoves(vps) {
 		if mv.VP != vps[i] || mv.To != mem.TierFast {
 			t.Fatal("PromoteMoves wrong")
-		}
-	}
-	for i, mv := range DemoteMoves(vps) {
-		if mv.VP != vps[i] || mv.To != mem.TierSlow {
-			t.Fatal("DemoteMoves wrong")
 		}
 	}
 }
@@ -283,7 +278,7 @@ func TestSlowPagesWithHeatLimit(t *testing.T) {
 		sys.RunEpoch()
 	}
 	be := sys.App("be")
-	pages := SlowPagesWithHeat(be, 5)
+	pages := new(RankBuf).SlowPagesWithHeat(be, 5)
 	if len(pages) > 5 {
 		t.Fatalf("limit ignored: %d", len(pages))
 	}

@@ -42,9 +42,9 @@ func (s *scriptedFaults) EndEpoch() (float64, bool, uint64) {
 }
 
 func TestFaultyDropsSamples(t *testing.T) {
-	inner := NewPEBS(1, 9)
+	inner := newPEBS(1, 9)
 	faulty := NewFaulty(inner, &scriptedFaults{dropEvery: 2})
-	clean := NewPEBS(1, 9)
+	clean := newPEBS(1, 9)
 
 	for i := 0; i < 100; i++ {
 		a := Access{VP: pagetable.VPage(i % 4), Fast: true}
@@ -74,9 +74,9 @@ func TestFaultyDropsSamples(t *testing.T) {
 }
 
 func TestFaultyNoDropsIsTransparent(t *testing.T) {
-	inner := NewPEBS(1, 9)
+	inner := newPEBS(1, 9)
 	faulty := NewFaulty(inner, &scriptedFaults{})
-	clean := NewPEBS(1, 9)
+	clean := newPEBS(1, 9)
 
 	var costF, costC float64
 	for i := 0; i < 64; i++ {
@@ -106,7 +106,7 @@ func TestFaultyNoDropsIsTransparent(t *testing.T) {
 }
 
 func TestFaultyOverflowFlag(t *testing.T) {
-	faulty := NewFaulty(NewPEBS(1, 9), &scriptedFaults{dropEvery: 1, overflow: true})
+	faulty := NewFaulty(newPEBS(1, 9), &scriptedFaults{dropEvery: 1, overflow: true})
 	for i := 0; i < 10; i++ {
 		faulty.Record(Access{VP: 1})
 	}

@@ -350,14 +350,6 @@ func (h *heatStore) pages() []PageHeat {
 
 func (h *heatStore) tracked() int { return h.trackedPages }
 
-// reset drops all state (used by Restore before loading entries).
-func (h *heatStore) reset() {
-	h.l1 = nil
-	h.trackedPages = 0
-	h.snapValid = false
-	h.snapSorted = false
-}
-
 // setRaw installs restored per-page stats verbatim. heat must be
 // nonzero (the caller validates); the cell must currently be empty.
 func (h *heatStore) setRaw(vp pagetable.VPage, heat, reads, writes float64) bool {
@@ -386,24 +378,6 @@ type bitmapChunk [chunkPages / 64]uint64
 type pageBitmap struct {
 	l1    []*[dirSize]*bitmapChunk
 	count int
-}
-
-//vulcan:hotpath
-func (b *pageBitmap) test(vp pagetable.VPage) bool {
-	hi := uint64(vp) >> (chunkShift + dirShift)
-	if hi >= uint64(len(b.l1)) {
-		return false
-	}
-	blk := b.l1[hi]
-	if blk == nil {
-		return false
-	}
-	c := blk[uint64(vp)>>chunkShift&dirMask]
-	if c == nil {
-		return false
-	}
-	i := int(vp) & chunkMask
-	return c[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
 // set marks vp; reports whether it was newly set.
@@ -500,217 +474,6 @@ func (b *pageBitmap) forEach(fn func(vp pagetable.VPage)) {
 		}
 	}
 }
-
-// idleStore tracks Chrono's per-page consecutive idle-epoch counters.
-// Cells store idle+1 so the zero value means "unknown page" and fresh
-// chunks need no sentinel initialization.
-type idleChunk struct {
-	v    [chunkPages]int32
-	live int
-}
-
-type idleStore struct {
-	l1   []*[dirSize]*idleChunk
-	live int
-}
-
-// get returns the stored idle+1 value (0 = unknown).
-func (s *idleStore) get(vp pagetable.VPage) int32 {
-	hi := uint64(vp) >> (chunkShift + dirShift)
-	if hi >= uint64(len(s.l1)) {
-		return 0
-	}
-	blk := s.l1[hi]
-	if blk == nil {
-		return 0
-	}
-	c := blk[uint64(vp)>>chunkShift&dirMask]
-	if c == nil {
-		return 0
-	}
-	return c.v[int(vp)&chunkMask]
-}
-
-// set stores idle+1 for vp (v must be > 0).
-func (s *idleStore) set(vp pagetable.VPage, v int32) {
-	hi := uint64(vp) >> (chunkShift + dirShift)
-	if hi >= uint64(len(s.l1)) {
-		grown := make([]*[dirSize]*idleChunk, hi+1) //vulcan:allowalloc directory growth, once per 2M-page region
-		copy(grown, s.l1)
-		s.l1 = grown
-	}
-	blk := s.l1[hi]
-	if blk == nil {
-		blk = new([dirSize]*idleChunk) //vulcan:allowalloc directory block, once per 2M-page region
-		s.l1[hi] = blk
-	}
-	ci := uint64(vp) >> chunkShift & dirMask
-	c := blk[ci]
-	if c == nil {
-		c = new(idleChunk) //vulcan:allowalloc chunk allocation, once per 4096-page region
-		blk[ci] = c
-	}
-	i := int(vp) & chunkMask
-	if c.v[i] == 0 {
-		c.live++
-		s.live++
-	}
-	c.v[i] = v
-}
-
-// age adds one idle epoch to every known page, forgetting pages idle
-// longer than forgetAfter — a linear sweep over live chunks.
-//
-//vulcan:hotpath
-func (s *idleStore) age(forgetAfter int) {
-	limit := int32(forgetAfter) + 1
-	for _, blk := range s.l1 {
-		if blk == nil {
-			continue
-		}
-		for _, c := range blk {
-			if c == nil || c.live == 0 {
-				continue
-			}
-			for i := range c.v {
-				v := c.v[i]
-				if v == 0 {
-					continue
-				}
-				v++
-				if v > limit {
-					c.v[i] = 0
-					c.live--
-					s.live--
-				} else {
-					c.v[i] = v
-				}
-			}
-		}
-	}
-}
-
-// forEach calls fn(vp, idle) for every known page in ascending order.
-func (s *idleStore) forEach(fn func(vp pagetable.VPage, idle int)) {
-	for hi, blk := range s.l1 {
-		if blk == nil {
-			continue
-		}
-		for ci, c := range blk {
-			if c == nil || c.live == 0 {
-				continue
-			}
-			base := chunkBase(hi, ci)
-			for i, v := range c.v {
-				if v == 0 {
-					continue
-				}
-				fn(base|pagetable.VPage(i), int(v)-1)
-			}
-		}
-	}
-}
-
-// reset drops all state.
-func (s *idleStore) reset() {
-	s.l1 = nil
-	s.live = 0
-}
-
-// regionStore holds RegionScan's per-2MiB-region backoff state as
-// parallel dense arrays indexed by region number (LeafIndex). The zero
-// values match the previous map implementation's defaults, so lookups
-// of never-seen regions behave identically.
-type regionChunk struct {
-	backoff [chunkPages]uint8
-	skip    [chunkPages]int32
-}
-
-type regionStore struct {
-	l1 []*[dirSize]*regionChunk
-}
-
-func (s *regionStore) chunkAt(region uint64) *regionChunk {
-	hi := region >> (chunkShift + dirShift)
-	if hi >= uint64(len(s.l1)) {
-		return nil
-	}
-	blk := s.l1[hi]
-	if blk == nil {
-		return nil
-	}
-	return blk[region>>chunkShift&dirMask]
-}
-
-func (s *regionStore) ensureChunk(region uint64) *regionChunk {
-	hi := region >> (chunkShift + dirShift)
-	if hi >= uint64(len(s.l1)) {
-		grown := make([]*[dirSize]*regionChunk, hi+1) //vulcan:allowalloc directory growth, once per region range
-		copy(grown, s.l1)
-		s.l1 = grown
-	}
-	blk := s.l1[hi]
-	if blk == nil {
-		blk = new([dirSize]*regionChunk) //vulcan:allowalloc directory block, once per region range
-		s.l1[hi] = blk
-	}
-	ci := region >> chunkShift & dirMask
-	c := blk[ci]
-	if c == nil {
-		c = new(regionChunk) //vulcan:allowalloc chunk allocation, once per 4096-region range
-		blk[ci] = c
-	}
-	return c
-}
-
-//vulcan:hotpath
-func (s *regionStore) backoffLevel(region uint64) uint8 {
-	c := s.chunkAt(region)
-	if c == nil {
-		return 0
-	}
-	return c.backoff[int(region)&chunkMask]
-}
-
-//vulcan:hotpath
-func (s *regionStore) skipUntil(region uint64) int {
-	c := s.chunkAt(region)
-	if c == nil {
-		return 0
-	}
-	return int(c.skip[int(region)&chunkMask])
-}
-
-func (s *regionStore) setBackoff(region uint64, level uint8, skipUntil int) {
-	c := s.ensureChunk(region)
-	i := int(region) & chunkMask
-	c.backoff[i] = level
-	c.skip[i] = int32(skipUntil)
-}
-
-// forEach calls fn for every region with any nonzero state, ascending.
-func (s *regionStore) forEach(fn func(region uint64, level uint8, skipUntil int)) {
-	for hi, blk := range s.l1 {
-		if blk == nil {
-			continue
-		}
-		for ci, c := range blk {
-			if c == nil {
-				continue
-			}
-			base := uint64(hi)<<(chunkShift+dirShift) | uint64(ci)<<chunkShift
-			for i := range c.backoff {
-				if c.backoff[i] == 0 && c.skip[i] == 0 {
-					continue
-				}
-				fn(base|uint64(i), c.backoff[i], int(c.skip[i]))
-			}
-		}
-	}
-}
-
-// reset drops all state.
-func (s *regionStore) reset() { s.l1 = nil }
 
 // heatKey maps a heat value to a uint64 whose ascending order is the
 // heat's descending order (monotone float-bits transform, safe for the

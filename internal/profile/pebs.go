@@ -21,16 +21,6 @@ type PEBS struct {
 	samples      uint64
 }
 
-// DefaultPEBSSampleRate mirrors common PEBS configurations (~1/199,
-// a prime period to avoid phase-locking with loops).
-const DefaultPEBSSampleRate = 199
-
-// NewPEBS builds a PEBS profiler with the given sampling period and the
-// default heat decay.
-func NewPEBS(sampleRate int, seed uint64) *PEBS {
-	return NewPEBSWithDecay(sampleRate, DefaultDecay, seed)
-}
-
 // NewPEBSWithDecay additionally selects the per-epoch heat aging factor.
 // Systems with long cooling periods (Memtis halves counts only every few
 // migration rounds) retain heat across many epochs, which is what lets a

@@ -1,15 +1,26 @@
 // Package profile implements the page-access profiling mechanisms
-// surveyed in §2.1 of the paper: PEBS-style event sampling, page-table
-// accessed-bit scanning, NUMA-hint-fault poisoning, and the FlexMem-style
-// hybrid that Vulcan adopts by default. All profilers consume the same
-// access stream and expose per-page heat and write-intensity estimates;
-// each has the blind spots of its real counterpart (sampling misses,
-// scan staleness, fault overhead).
+// the compared policies use (§2.1 of the paper): PEBS-style event
+// sampling (Memtis), NUMA-hint-fault poisoning (TPP, Nomad), and the
+// FlexMem-style hybrid of sampling plus accessed-bit harvesting that
+// Vulcan adopts by default. All profilers consume the same access stream
+// and expose per-page heat and write-intensity estimates; each has the
+// blind spots of its real counterpart (sampling misses, scan staleness,
+// fault overhead).
 package profile
 
 import (
 	"vulcan/internal/pagetable"
 )
+
+// Table is the page-table surface the bit-harvesting profilers (Hybrid,
+// HintFault) need: iteration plus a batched read-modify-write pass for
+// harvesting and clearing accessed/dirty bits in one walk. Both
+// *pagetable.Table and *pagetable.Replicated satisfy it.
+type Table interface {
+	Range(fn func(vp pagetable.VPage, p pagetable.PTE) bool)
+	RangeFrom(start pagetable.VPage, fn func(vp pagetable.VPage, p pagetable.PTE) bool)
+	RangeMut(fn func(vp pagetable.VPage, p pagetable.PTE) pagetable.PTE)
+}
 
 // Access is one observed memory reference, as delivered by the workload
 // simulation.
@@ -44,7 +55,7 @@ type EpochReport struct {
 
 // Profiler estimates page heat from an access stream.
 type Profiler interface {
-	// Name identifies the mechanism ("pebs", "scan", ...).
+	// Name identifies the mechanism ("pebs", "hybrid", ...).
 	Name() string
 	// Record offers one access to the profiler. Sampling profilers may
 	// ignore most calls; Record returns any extra cycles the mechanism

@@ -7,6 +7,12 @@ import (
 	"vulcan/internal/pagetable"
 )
 
+// newPEBS builds a PEBS profiler with the given sampling period and the
+// default heat decay.
+func newPEBS(sampleRate int, seed uint64) *PEBS {
+	return NewPEBSWithDecay(sampleRate, DefaultDecay, seed)
+}
+
 // feed drives n accesses to vp through p.
 func feed(p Profiler, vp pagetable.VPage, n int, write bool) {
 	for i := 0; i < n; i++ {
@@ -81,7 +87,7 @@ func TestIsWriteIntensive(t *testing.T) {
 }
 
 func TestPEBSUnbiasedHeat(t *testing.T) {
-	p := NewPEBS(100, 1)
+	p := newPEBS(100, 1)
 	feed(p, 7, 100_000, false)
 	// Expected heat ≈ 100000 regardless of sampling (weight corrects).
 	if h := p.Heat(7); h < 60_000 || h > 140_000 {
@@ -90,7 +96,7 @@ func TestPEBSUnbiasedHeat(t *testing.T) {
 }
 
 func TestPEBSRanksBySampledFrequency(t *testing.T) {
-	p := NewPEBS(10, 2)
+	p := newPEBS(10, 2)
 	feed(p, 1, 50_000, false)
 	feed(p, 2, 5_000, false)
 	feed(p, 3, 500, false)
@@ -106,7 +112,7 @@ func TestPEBSRanksBySampledFrequency(t *testing.T) {
 func TestPEBSMissesColdPages(t *testing.T) {
 	// A page touched once in a 1/199 sampler is almost never seen —
 	// the mechanism's false-negative behaviour.
-	p := NewPEBS(DefaultPEBSSampleRate, 3)
+	p := newPEBS(199, 3) // a common PEBS period, ~1/199
 	missed := 0
 	for vp := pagetable.VPage(0); vp < 100; vp++ {
 		p.Record(Access{VP: vp})
@@ -120,7 +126,7 @@ func TestPEBSMissesColdPages(t *testing.T) {
 }
 
 func TestPEBSEpochReport(t *testing.T) {
-	p := NewPEBS(1, 4) // sample everything
+	p := newPEBS(1, 4) // sample everything
 	feed(p, 1, 10, false)
 	rep := p.EndEpoch()
 	if rep.OverheadCycles <= 0 {
@@ -134,10 +140,10 @@ func TestPEBSEpochReport(t *testing.T) {
 func TestPEBSValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewPEBS(0) did not panic")
+			t.Fatal("newPEBS(0) did not panic")
 		}
 	}()
-	NewPEBS(0, 1)
+	newPEBS(0, 1)
 }
 
 // buildTable makes a table with n mapped pages and returns it.
@@ -161,66 +167,6 @@ func touch(tbl *pagetable.Table, vp pagetable.VPage, write bool) {
 		}
 		return p
 	})
-}
-
-func TestScanHarvestsAccessedBits(t *testing.T) {
-	tbl := buildTable(t, 16)
-	s := NewScan(tbl)
-	touch(tbl, 3, false)
-	touch(tbl, 5, true)
-	rep := s.EndEpoch()
-	if rep.ScannedPages != 16 {
-		t.Fatalf("scanned = %d, want 16", rep.ScannedPages)
-	}
-	if s.Heat(3) <= 0 || s.Heat(5) <= 0 {
-		t.Fatal("touched pages have no heat")
-	}
-	if s.Heat(4) != 0 {
-		t.Fatal("untouched page has heat")
-	}
-	if s.WriteFraction(5) != 1 || s.WriteFraction(3) != 0 {
-		t.Fatalf("write fractions: %v %v", s.WriteFraction(5), s.WriteFraction(3))
-	}
-	// Bits must be cleared for the next epoch.
-	p, _ := tbl.Lookup(3)
-	if p.Accessed() {
-		t.Fatal("accessed bit not cleared by scan")
-	}
-	p, _ = tbl.Lookup(5)
-	if p.Dirty() {
-		t.Fatal("dirty bit not cleared by scan")
-	}
-}
-
-func TestScanCannotSeeFrequency(t *testing.T) {
-	// Two pages: one touched once, one conceptually touched 1000 times —
-	// the accessed bit is binary, so the scanner credits them equally.
-	tbl := buildTable(t, 2)
-	s := NewScan(tbl)
-	touch(tbl, 0, false)
-	touch(tbl, 1, false) // the bit saturates; more touches change nothing
-	s.EndEpoch()
-	if s.Heat(0) != s.Heat(1) {
-		t.Fatalf("scanner distinguished frequencies: %v vs %v", s.Heat(0), s.Heat(1))
-	}
-}
-
-func TestScanOverheadScalesWithPages(t *testing.T) {
-	small := NewScan(buildTable(t, 8))
-	big := NewScan(buildTable(t, 800))
-	if small.EndEpoch().OverheadCycles >= big.EndEpoch().OverheadCycles {
-		t.Fatal("scan overhead not proportional to table size")
-	}
-}
-
-func TestScanRecordNoop(t *testing.T) {
-	s := NewScan(buildTable(t, 1))
-	if c := s.Record(Access{VP: 0}); c != 0 {
-		t.Fatal("scan Record charged cycles")
-	}
-	if s.Tracked() != 0 {
-		t.Fatal("scan Record tracked a page")
-	}
 }
 
 func TestHintFaultPoisonAndFire(t *testing.T) {
@@ -371,8 +317,7 @@ func TestProfilerNames(t *testing.T) {
 		p    Profiler
 		want string
 	}{
-		{NewPEBS(10, 1), "pebs"},
-		{NewScan(tbl), "scan"},
+		{newPEBS(10, 1), "pebs"},
 		{NewHintFault(tbl, 1, 0), "hintfault"},
 		{NewHybrid(tbl, 10, 1), "hybrid"},
 	} {

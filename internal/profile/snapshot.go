@@ -8,15 +8,10 @@ import (
 )
 
 // SnapshotVersion is the wire version SnapshotProfiler writes (the
-// "app.N.profiler" checkpoint section version). Version 1 encoded the
-// old map-layout stores (flat sorted entry lists everywhere); version 2
-// encodes the dense stores, most notably run-length heat entries.
-// RestoreProfiler accepts both, so checkpoint containers written before
-// the dense-store rewrite still restore.
+// "app.N.profiler" checkpoint section version). Version 2 encodes the
+// dense stores, most notably run-length heat entries; it is the only
+// layout RestoreProfiler reads.
 const SnapshotVersion = 2
-
-// LegacySnapshotVersion is the last map-layout wire version.
-const LegacySnapshotVersion = 1
 
 // SnapshotProfiler appends p's durable state, tagged with the profiler
 // name so RestoreProfiler can verify the constructed profiler matches.
@@ -37,61 +32,36 @@ func SnapshotProfiler(e *checkpoint.Encoder, p Profiler) {
 	s.Snapshot(e)
 }
 
-// RestoreProfiler reads state written by SnapshotProfiler back into p,
-// a freshly-constructed profiler. version selects the wire layout: the
-// section version recorded in the checkpoint container, either
-// SnapshotVersion or LegacySnapshotVersion. The fault decoration may
-// differ between writer and reader (a clean warm-up resumed under fault
-// injection, or vice versa): wrapper state that has no destination is
-// discarded, and a fresh wrapper keeps its construction-time state.
-func RestoreProfiler(d *checkpoint.Decoder, p Profiler, version uint32) error {
-	if version != SnapshotVersion && version != LegacySnapshotVersion {
-		return fmt.Errorf("profile: unsupported profiler snapshot version %d", version)
-	}
+// RestoreProfiler reads state written by SnapshotProfiler (wire version
+// SnapshotVersion) back into p, a freshly-constructed profiler. The
+// fault decoration may differ between writer and reader (a clean
+// warm-up resumed under fault injection, or vice versa): wrapper state
+// that has no destination is discarded, and a fresh wrapper keeps its
+// construction-time state (epoch 0, confidence 1).
+func RestoreProfiler(d *checkpoint.Decoder, p Profiler) error {
+	f, wrapped := p.(*Faulty)
 	tag := d.String()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	return restoreTagged(tag, d, p, version)
-}
-
-// legacyRestorer is implemented by profilers that can decode the
-// version-1 (map-layout) wire format.
-type legacyRestorer interface {
-	restoreLegacy(d *checkpoint.Decoder) error
-}
-
-func restoreTagged(tag string, d *checkpoint.Decoder, p Profiler, version uint32) error {
-	if tag == "faulty" {
-		if f, ok := p.(*Faulty); ok {
+	if d.Err() == nil && tag == "faulty" {
+		if wrapped {
 			if err := f.restoreSelf(d); err != nil {
 				return err
 			}
-			return RestoreProfiler(d, f.inner, version)
+		} else {
+			discardFaultyState(d)
 		}
-		// Checkpoint was fault-wrapped, target is not: skip the wrapper
-		// fields and restore the inner profiler directly.
-		discardFaultyState(d)
-		if d.Err() != nil {
-			return d.Err()
+		if tag = d.String(); tag == "faulty" {
+			return fmt.Errorf("profile: nested fault wrapper in profiler snapshot")
 		}
-		return RestoreProfiler(d, p, version)
 	}
-	if f, ok := p.(*Faulty); ok {
-		// Target is fault-wrapped, checkpoint was not: the fresh wrapper
-		// keeps its construction-time state (epoch 0, confidence 1).
-		return restoreTagged(tag, d, f.inner, version)
+	if d.Err() != nil {
+		return d.Err()
+	}
+	if wrapped {
+		p = f.inner
 	}
 	if tag != p.Name() {
 		return fmt.Errorf("profile: checkpoint holds a %q profiler, restoring into %q",
 			tag, p.Name())
-	}
-	if version == LegacySnapshotVersion {
-		lr, ok := p.(legacyRestorer)
-		if !ok {
-			return fmt.Errorf("profile: profiler %q cannot restore legacy snapshots", p.Name())
-		}
-		return lr.restoreLegacy(d)
 	}
 	s, ok := p.(checkpoint.Snapshotter)
 	if !ok {
@@ -227,8 +197,10 @@ func (h *heatStore) Restore(d *checkpoint.Decoder) error {
 		if n == 0 {
 			return fmt.Errorf("profile: empty heat run at page %d", start)
 		}
-		if !firstRun && start <= prevEnd {
-			return fmt.Errorf("profile: heat run at page %d overlaps previous run", start)
+		// Runs are maximal: the encoder merges abutting pages, so a run
+		// must start past a gap after the previous one.
+		if !firstRun && start <= prevEnd+1 {
+			return fmt.Errorf("profile: heat run at page %d overlaps or abuts previous run", start)
 		}
 		if start > pagetable.MaxVPage || pagetable.VPage(uint64(start)+uint64(n)-1) > pagetable.MaxVPage {
 			return fmt.Errorf("profile: heat run at page %d out of range", start)
@@ -258,36 +230,6 @@ func (h *heatStore) Restore(d *checkpoint.Decoder) error {
 	return nil
 }
 
-// restoreLegacy reads the version-1 flat entry list (count, then
-// ascending (page, heat, reads, writes) tuples).
-func (h *heatStore) restoreLegacy(d *checkpoint.Decoder) error {
-	n := d.Length(32)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	h.l1 = nil
-	h.trackedPages = 0
-	for i := 0; i < n; i++ {
-		vp := pagetable.VPage(d.U64())
-		heat := d.F64()
-		reads := d.F64()
-		writes := d.F64()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if vp > pagetable.MaxVPage {
-			return fmt.Errorf("profile: heat entry page %d out of range", vp)
-		}
-		if heat == 0 {
-			return fmt.Errorf("profile: zero-heat entry for page %d", vp)
-		}
-		if !h.setRaw(vp, heat, reads, writes) {
-			return fmt.Errorf("profile: duplicate heat entry for page %d", vp)
-		}
-	}
-	return nil
-}
-
 // Snapshot implements checkpoint.Snapshotter.
 func (p *PEBS) Snapshot(e *checkpoint.Encoder) {
 	p.rng.Snapshot(e)
@@ -302,14 +244,6 @@ func (p *PEBS) Restore(d *checkpoint.Decoder) error {
 	}
 	p.samples = d.U64()
 	return p.heat.Restore(d)
-}
-
-func (p *PEBS) restoreLegacy(d *checkpoint.Decoder) error {
-	if err := p.rng.Restore(d); err != nil {
-		return err
-	}
-	p.samples = d.U64()
-	return p.heat.restoreLegacy(d)
 }
 
 // Snapshot implements checkpoint.Snapshotter.
@@ -328,175 +262,9 @@ func (h *Hybrid) Restore(d *checkpoint.Decoder) error {
 	return h.heat.Restore(d)
 }
 
-func (h *Hybrid) restoreLegacy(d *checkpoint.Decoder) error {
-	if err := h.rng.Restore(d); err != nil {
-		return err
-	}
-	h.samples = d.U64()
-	return h.heat.restoreLegacy(d)
-}
-
-// Snapshot implements checkpoint.Snapshotter.
-func (s *Scan) Snapshot(e *checkpoint.Encoder) { s.heat.Snapshot(e) }
-
-// Restore implements checkpoint.Snapshotter.
-func (s *Scan) Restore(d *checkpoint.Decoder) error { return s.heat.Restore(d) }
-
-func (s *Scan) restoreLegacy(d *checkpoint.Decoder) error { return s.heat.restoreLegacy(d) }
-
-// Snapshot implements checkpoint.Snapshotter. The idle list keeps the
-// version-1 shape (count, ascending (page, idle) entries); only the
-// heat layout changed in version 2.
-func (c *Chrono) Snapshot(e *checkpoint.Encoder) {
-	c.heat.Snapshot(e)
-	e.Int(c.idle.live)
-	c.idle.forEach(func(vp pagetable.VPage, idle int) {
-		e.U64(uint64(vp))
-		e.Int(idle)
-	})
-}
-
-// Restore implements checkpoint.Snapshotter.
-func (c *Chrono) Restore(d *checkpoint.Decoder) error {
-	if err := c.heat.Restore(d); err != nil {
-		return err
-	}
-	return c.restoreIdle(d)
-}
-
-func (c *Chrono) restoreLegacy(d *checkpoint.Decoder) error {
-	if err := c.heat.restoreLegacy(d); err != nil {
-		return err
-	}
-	return c.restoreIdle(d)
-}
-
-func (c *Chrono) restoreIdle(d *checkpoint.Decoder) error {
-	n := d.Length(16)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	c.idle.reset()
-	for i := 0; i < n; i++ {
-		vp := pagetable.VPage(d.U64())
-		idle := d.Int()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if vp > pagetable.MaxVPage {
-			return fmt.Errorf("profile: idle entry page %d out of range", vp)
-		}
-		if idle < 0 || idle > c.forgetAfter {
-			return fmt.Errorf("profile: idle entry for page %d out of range: %d", vp, idle)
-		}
-		if c.idle.get(vp) != 0 {
-			return fmt.Errorf("profile: duplicate idle entry for page %d", vp)
-		}
-		c.idle.set(vp, int32(idle)+1)
-	}
-	return nil
-}
-
-// Snapshot implements checkpoint.Snapshotter. Version 2 encodes one
-// entry per region with any nonzero backoff state (level, skip
-// deadline), ascending by region.
-func (s *RegionScan) Snapshot(e *checkpoint.Encoder) {
-	s.heat.Snapshot(e)
-	count := 0
-	s.regions.forEach(func(uint64, uint8, int) { count++ })
-	e.Int(count)
-	s.regions.forEach(func(region uint64, level uint8, skipUntil int) {
-		e.U64(region)
-		e.U8(level)
-		e.Int(skipUntil)
-	})
-	e.Int(s.epoch)
-}
-
-// Restore implements checkpoint.Snapshotter.
-func (s *RegionScan) Restore(d *checkpoint.Decoder) error {
-	if err := s.heat.Restore(d); err != nil {
-		return err
-	}
-	n := d.Length(17)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	s.regions.reset()
-	maxRegion := pagetable.LeafIndex(pagetable.MaxVPage)
-	for i := 0; i < n; i++ {
-		region := d.U64()
-		level := d.U8()
-		until := d.Int()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if region > maxRegion {
-			return fmt.Errorf("profile: backoff region %d out of range", region)
-		}
-		if level > s.maxBackoff {
-			return fmt.Errorf("profile: backoff level %d exceeds max %d", level, s.maxBackoff)
-		}
-		s.regions.setBackoff(region, level, until)
-	}
-	s.epoch = d.Int()
-	return d.Err()
-}
-
-// restoreLegacy reads the version-1 two-list layout (backoff entries,
-// then skip-until entries; either may include zero values).
-func (s *RegionScan) restoreLegacy(d *checkpoint.Decoder) error {
-	if err := s.heat.restoreLegacy(d); err != nil {
-		return err
-	}
-	s.regions.reset()
-	maxRegion := pagetable.LeafIndex(pagetable.MaxVPage)
-	n := d.Length(9)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	for i := 0; i < n; i++ {
-		region := d.U64()
-		level := d.U8()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if region > maxRegion {
-			return fmt.Errorf("profile: backoff region %d out of range", region)
-		}
-		if level > s.maxBackoff {
-			return fmt.Errorf("profile: backoff level %d exceeds max %d", level, s.maxBackoff)
-		}
-		if level != 0 {
-			c := s.regions.ensureChunk(region)
-			c.backoff[int(region)&chunkMask] = level
-		}
-	}
-	n = d.Length(16)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	for i := 0; i < n; i++ {
-		region := d.U64()
-		until := d.Int()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if region > maxRegion {
-			return fmt.Errorf("profile: backoff region %d out of range", region)
-		}
-		if until != 0 {
-			c := s.regions.ensureChunk(region)
-			c.skip[int(region)&chunkMask] = int32(until)
-		}
-	}
-	s.epoch = d.Int()
-	return d.Err()
-}
-
-// Snapshot implements checkpoint.Snapshotter. The poison list keeps the
-// version-1 shape (count, ascending pages); only the heat layout
-// changed in version 2.
+// Snapshot implements checkpoint.Snapshotter: the heat runs, then the
+// poison list (count, ascending pages), the sweep cursor and the
+// epoch's fault tally.
 func (h *HintFault) Snapshot(e *checkpoint.Encoder) {
 	h.heat.Snapshot(e)
 	e.Int(h.poisoned.count)
@@ -512,22 +280,12 @@ func (h *HintFault) Restore(d *checkpoint.Decoder) error {
 	if err := h.heat.Restore(d); err != nil {
 		return err
 	}
-	return h.restorePoison(d)
-}
-
-func (h *HintFault) restoreLegacy(d *checkpoint.Decoder) error {
-	if err := h.heat.restoreLegacy(d); err != nil {
-		return err
-	}
-	return h.restorePoison(d)
-}
-
-func (h *HintFault) restorePoison(d *checkpoint.Decoder) error {
 	n := d.Length(8)
 	if d.Err() != nil {
 		return d.Err()
 	}
 	h.poisoned = pageBitmap{}
+	prev := pagetable.VPage(0)
 	for i := 0; i < n; i++ {
 		vp := pagetable.VPage(d.U64())
 		if d.Err() != nil {
@@ -536,9 +294,12 @@ func (h *HintFault) restorePoison(d *checkpoint.Decoder) error {
 		if vp > pagetable.MaxVPage {
 			return fmt.Errorf("profile: poisoned page %d out of range", vp)
 		}
-		if !h.poisoned.set(vp) {
-			return fmt.Errorf("profile: duplicate poisoned page %d", vp)
+		// The encoder lists pages strictly ascending.
+		if i > 0 && vp <= prev {
+			return fmt.Errorf("profile: poisoned page %d out of order", vp)
 		}
+		h.poisoned.set(vp)
+		prev = vp
 	}
 	h.cursor = pagetable.VPage(d.U64())
 	h.faultsThisEpoch = d.Int()

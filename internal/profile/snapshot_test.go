@@ -23,30 +23,26 @@ func newProfileTable() *pagetable.Replicated {
 	return tbl
 }
 
+// newKind builds one profiler of the named kind over its own table.
+func newKind(kind string) (Profiler, *pagetable.Replicated) {
+	tbl := newProfileTable()
+	switch kind {
+	case "pebs":
+		return newPEBS(4, 9), tbl
+	case "hybrid":
+		return NewHybrid(tbl, 4, 9), tbl
+	case "hintfault":
+		return NewHintFault(tbl, 64, 1000), tbl
+	}
+	panic("unknown profiler kind " + kind)
+}
+
 // profilerPair builds a (live, fresh) twin of each profiler kind over
 // its own independent table, so restored state can be verified to
 // reproduce identical future behavior.
 func profilerPair(kind string) (live, fresh Profiler, liveTbl, freshTbl *pagetable.Replicated) {
-	mk := func() (Profiler, *pagetable.Replicated) {
-		tbl := newProfileTable()
-		switch kind {
-		case "pebs":
-			return NewPEBS(4, 9), tbl
-		case "hybrid":
-			return NewHybrid(tbl, 4, 9), tbl
-		case "scan":
-			return NewScan(tbl), tbl
-		case "chrono":
-			return NewChrono(tbl), tbl
-		case "regionscan":
-			return NewRegionScan(tbl), tbl
-		case "hintfault":
-			return NewHintFault(tbl, 64, 1000), tbl
-		}
-		panic("unknown profiler kind " + kind)
-	}
-	live, liveTbl = mk()
-	fresh, freshTbl = mk()
+	live, liveTbl = newKind(kind)
+	fresh, freshTbl = newKind(kind)
 	return
 }
 
@@ -67,7 +63,7 @@ func feedMix(p Profiler, tbl *pagetable.Replicated, round int) EpochReport {
 // profilers consume) and requires the restored twin to report identical
 // heat, write fractions and epoch behavior from then on.
 func TestProfilerSnapshotRoundTrip(t *testing.T) {
-	kinds := []string{"pebs", "hybrid", "scan", "chrono", "regionscan", "hintfault"}
+	kinds := []string{"pebs", "hybrid", "hintfault"}
 	for _, kind := range kinds {
 		live, fresh, liveTbl, freshTbl := profilerPair(kind)
 		for r := 0; r < 3; r++ {
@@ -86,7 +82,7 @@ func TestProfilerSnapshotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, restore := range map[string]func(*checkpoint.Decoder) error{
-			"prof":  func(d *checkpoint.Decoder) error { return RestoreProfiler(d, fresh, SnapshotVersion) },
+			"prof":  func(d *checkpoint.Decoder) error { return RestoreProfiler(d, fresh) },
 			"table": freshTbl.Restore,
 		} {
 			d, err := cr.Section(name, 1)
@@ -118,9 +114,9 @@ func TestProfilerSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestRestoreProfilerRejectsWrongKind restores a PEBS snapshot into a
-// Scan profiler and expects a tag error, plus truncation robustness.
+// Hybrid profiler and expects a tag error, plus truncation robustness.
 func TestRestoreProfilerRejectsWrongKind(t *testing.T) {
-	p := NewPEBS(4, 9)
+	p := newPEBS(4, 9)
 	for i := 0; i < 200; i++ {
 		p.Record(Access{VP: pagetable.VPage(i % 64), Thread: 0})
 	}
@@ -129,11 +125,11 @@ func TestRestoreProfilerRejectsWrongKind(t *testing.T) {
 	SnapshotProfiler(e, p)
 	blob := e.Bytes()
 
-	if err := RestoreProfiler(checkpoint.NewDecoder(blob), NewScan(newProfileTable()), SnapshotVersion); err == nil {
-		t.Fatal("pebs snapshot restored into scan profiler")
+	if err := RestoreProfiler(checkpoint.NewDecoder(blob), NewHybrid(newProfileTable(), 4, 9)); err == nil {
+		t.Fatal("pebs snapshot restored into hybrid profiler")
 	}
 	for cut := 0; cut < len(blob); cut += 9 {
-		if err := RestoreProfiler(checkpoint.NewDecoder(blob[:cut]), NewPEBS(4, 9), SnapshotVersion); err == nil {
+		if err := RestoreProfiler(checkpoint.NewDecoder(blob[:cut]), newPEBS(4, 9)); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}

@@ -40,7 +40,7 @@ func pinRecord(t *testing.T, name string, p Profiler, a Access) {
 func TestPEBSRecordZeroAlloc(t *testing.T) {
 	// sampleRate 1 makes every access take the sampling path, so the
 	// measurement covers the heat-map update, not just the rng draw.
-	pinRecord(t, "PEBS", NewPEBS(1, 42), Access{VP: 3, Write: true, Fast: true})
+	pinRecord(t, "PEBS", newPEBS(1, 42), Access{VP: 3, Write: true, Fast: true})
 }
 
 func TestHybridRecordZeroAlloc(t *testing.T) {
@@ -75,16 +75,8 @@ func TestHintFaultRecordZeroAlloc(t *testing.T) {
 func TestFaultyRecordZeroAlloc(t *testing.T) {
 	// Wrap a sampling inner profiler with a fault stream that drops every
 	// other sample so both the dropped and forwarded branches run.
-	f := NewFaulty(NewPEBS(1, 42), &scriptedFaults{dropEvery: 2})
+	f := NewFaulty(newPEBS(1, 42), &scriptedFaults{dropEvery: 2})
 	pinRecord(t, "Faulty", f, Access{VP: 3, Write: true, Fast: true})
-}
-
-func TestScannerRecordsZeroAlloc(t *testing.T) {
-	tbl := warmTable(t, 8)
-	a := Access{VP: 3, Fast: true}
-	pinRecord(t, "Scan", NewScan(tbl), a)
-	pinRecord(t, "Chrono", NewChrono(tbl), a)
-	pinRecord(t, "RegionScan", NewRegionScan(tbl), a)
 }
 
 func TestHeatStoreRecordZeroAlloc(t *testing.T) {

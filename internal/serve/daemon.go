@@ -3,12 +3,23 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sync"
 
 	"vulcan/internal/scenario"
+)
+
+// Control-plane input bounds. Every request body is capped at
+// maxBodyBytes (an admission, the largest request, is a few hundred
+// bytes), and one /v1/step may ask for at most maxStepEpochs epochs, so
+// a single request cannot hold the session mutex without limit.
+const (
+	maxBodyBytes  = 64 << 10
+	maxStepEpochs = 1024
 )
 
 // Daemon wraps a live Session in a local control plane: a unix-socket
@@ -61,7 +72,7 @@ func NewDaemon(s *Session, socket string, pace func()) (*Daemon, error) {
 	mux.HandleFunc("/v1/status", d.handleStatus)
 	mux.HandleFunc("/v1/checkpoint", d.handleCheckpoint)
 	mux.HandleFunc("/v1/shutdown", d.handleShutdown)
-	d.srv = &http.Server{Handler: mux}
+	d.srv = &http.Server{Handler: http.MaxBytesHandler(mux, maxBodyBytes)}
 	return d, nil
 }
 
@@ -204,11 +215,18 @@ func (d *Daemon) handleStep(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, fmt.Errorf("auto-paced daemon; /v1/step is for -speed 0 manual mode"))
 		return
 	}
+	// An empty body steps one epoch; a malformed one steps nothing.
 	var req struct {
 		Epochs int `json:"epochs"`
 	}
-	if r.Body != nil {
-		json.NewDecoder(r.Body).Decode(&req)
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("step request: %w", err))
+		return
+	}
+	if req.Epochs > maxStepEpochs {
+		writeErr(w, http.StatusBadRequest,
+			fmt.Errorf("epochs %d exceeds the per-request limit %d", req.Epochs, maxStepEpochs))
+		return
 	}
 	if req.Epochs <= 0 {
 		req.Epochs = 1

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -241,5 +243,85 @@ func TestDaemonAutoPaced(t *testing.T) {
 	}
 	if st := d.statusLocked(); !st.Finished || st.Epoch != 6 {
 		t.Fatalf("final: %+v", st)
+	}
+}
+
+// startManualDaemon runs a manual-stepping daemon over a fresh session
+// and returns a client for its socket; the cleanup shuts it down.
+func startManualDaemon(t *testing.T) *http.Client {
+	t.Helper()
+	sockDir, err := os.MkdirTemp("", "vd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.RemoveAll(sockDir) })
+	s, err := NewSession(Options{
+		Scenario: testScenario(8),
+		Journal:  filepath.Join(t.TempDir(), "run.journal"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	socket := filepath.Join(sockDir, "vulcand.sock")
+	d, err := NewDaemon(s, socket, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- d.Run() }()
+	t.Cleanup(func() {
+		d.Stop()
+		if err := <-done; err != nil {
+			t.Errorf("daemon run: %v", err)
+		}
+	})
+	return sockClient(socket)
+}
+
+// rejectsStep posts body to /v1/step and requires a 400 that leaves
+// the session at epoch 0.
+func rejectsStep(t *testing.T, c *http.Client, body string) {
+	t.Helper()
+	if code, reply := post(t, c, "/v1/step", body); code != http.StatusBadRequest {
+		t.Fatalf("step answered %d %v, want 400", code, reply)
+	}
+	if st := getStatus(t, c); st.Epoch != 0 {
+		t.Fatalf("rejected step advanced the session to epoch %d", st.Epoch)
+	}
+}
+
+// TestDaemonStepRejectsMalformedBody: a body that is not a step request
+// steps nothing, while an empty body still steps one epoch.
+func TestDaemonStepRejectsMalformedBody(t *testing.T) {
+	c := startManualDaemon(t)
+	rejectsStep(t, c, `{"epochs": "two"}`)
+	rejectsStep(t, c, `{"epochs": 2`)
+	if code, _ := post(t, c, "/v1/step", ``); code != http.StatusOK {
+		t.Fatalf("empty step body answered %d, want 200", code)
+	}
+	if st := getStatus(t, c); st.Epoch != 1 {
+		t.Fatalf("empty step body left the session at epoch %d, want 1", st.Epoch)
+	}
+}
+
+// TestDaemonStepRejectsTooManyEpochs: one request may not ask for more
+// than maxStepEpochs epochs.
+func TestDaemonStepRejectsTooManyEpochs(t *testing.T) {
+	c := startManualDaemon(t)
+	rejectsStep(t, c, fmt.Sprintf(`{"epochs": %d}`, maxStepEpochs+1))
+}
+
+// TestDaemonRejectsOversizedBody: a body over maxBodyBytes is refused
+// on every endpoint that reads one, even when it is otherwise valid.
+func TestDaemonRejectsOversizedBody(t *testing.T) {
+	c := startManualDaemon(t)
+	pad := strings.Repeat("x", maxBodyBytes)
+	rejectsStep(t, c, `{"epochs": 1, "pad": "`+pad+`"}`)
+	code, reply := post(t, c, "/v1/stop", `{"name": "memcached", "pad": "`+pad+`"}`)
+	if code != http.StatusBadRequest {
+		t.Fatalf("oversized stop answered %d %v, want 400", code, reply)
+	}
+	if st := getStatus(t, c); st.Pending != 0 {
+		t.Fatalf("oversized stop was queued: %d pending", st.Pending)
 	}
 }

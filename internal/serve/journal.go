@@ -155,17 +155,6 @@ type JournalData struct {
 	CleanSize int64
 }
 
-// BatchFor returns the journaled commands for one epoch boundary (nil
-// when the boundary wrote none).
-func (d *JournalData) BatchFor(epoch int) []Cmd {
-	for i := range d.Batches {
-		if d.Batches[i].Epoch == epoch {
-			return d.Batches[i].Cmds
-		}
-	}
-	return nil
-}
-
 // LastEpoch returns the highest journaled batch epoch, or -1 when no
 // batches were written.
 func (d *JournalData) LastEpoch() int {

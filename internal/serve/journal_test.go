@@ -60,12 +60,10 @@ func TestJournalRoundTrip(t *testing.T) {
 	if len(d.Batches) != 2 || d.LastEpoch() != 5 {
 		t.Fatalf("batches: %+v", d.Batches)
 	}
-	b0 := d.BatchFor(2)
-	if len(b0) != 1 || b0[0].Op != "admit" || b0[0].App.Name != "burst" || b0[0].Depart != 9 {
-		t.Fatalf("batch 2: %+v", b0)
-	}
-	if got := d.BatchFor(3); got != nil {
-		t.Fatalf("batch 3 should be empty, got %+v", got)
+	b0 := d.Batches[0].Cmds
+	if d.Batches[0].Epoch != 2 || len(b0) != 1 || b0[0].Op != "admit" ||
+		b0[0].App.Name != "burst" || b0[0].Depart != 9 {
+		t.Fatalf("batch 2: %+v", d.Batches[0])
 	}
 	info, err := os.Stat(path)
 	if err != nil {

@@ -87,8 +87,3 @@ const CyclesPerNs = 3.0
 func CyclesToDuration(cycles float64) Duration {
 	return Duration(cycles / CyclesPerNs)
 }
-
-// DurationToCycles converts simulated time into CPU cycles.
-func DurationToCycles(d Duration) float64 {
-	return float64(d) * CyclesPerNs
-}

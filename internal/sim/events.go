@@ -261,25 +261,3 @@ func (q *Queue) Step() bool {
 	fn(e.At)
 	return true
 }
-
-// RunUntil fires events in order until the queue is empty or the next
-// event is after deadline, then advances the clock to deadline.
-func (q *Queue) RunUntil(deadline Time) {
-	for {
-		t, ok := q.PeekTime()
-		if !ok || t > deadline {
-			break
-		}
-		q.Step()
-	}
-	if q.clock.Now() < deadline {
-		q.clock.AdvanceTo(deadline)
-	}
-}
-
-// Drain fires every pending event. Intended for test teardown; production
-// loops should bound execution with RunUntil.
-func (q *Queue) Drain() {
-	for q.Step() {
-	}
-}

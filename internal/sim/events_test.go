@@ -2,6 +2,12 @@ package sim
 
 import "testing"
 
+// drain fires every pending event.
+func drain(q *Queue) {
+	for q.Step() {
+	}
+}
+
 func TestQueueOrdering(t *testing.T) {
 	var c Clock
 	q := NewQueue(&c)
@@ -9,7 +15,7 @@ func TestQueueOrdering(t *testing.T) {
 	q.At(300, func(Time) { fired = append(fired, 3) })
 	q.At(100, func(Time) { fired = append(fired, 1) })
 	q.At(200, func(Time) { fired = append(fired, 2) })
-	q.Drain()
+	drain(q)
 	if len(fired) != 3 || fired[0] != 1 || fired[1] != 2 || fired[2] != 3 {
 		t.Fatalf("fired order %v, want [1 2 3]", fired)
 	}
@@ -26,7 +32,7 @@ func TestQueueFIFOAtSameTime(t *testing.T) {
 		i := i
 		q.At(50, func(Time) { fired = append(fired, i) })
 	}
-	q.Drain()
+	drain(q)
 	for i, v := range fired {
 		if v != i {
 			t.Fatalf("same-time events out of order: %v", fired)
@@ -40,7 +46,7 @@ func TestQueueAfter(t *testing.T) {
 	q := NewQueue(&c)
 	var at Time
 	q.After(500, func(now Time) { at = now })
-	q.Drain()
+	drain(q)
 	if at != 1500 {
 		t.Fatalf("After fired at %d, want 1500", at)
 	}
@@ -52,7 +58,7 @@ func TestQueueCancel(t *testing.T) {
 	fired := false
 	e := q.At(100, func(Time) { fired = true })
 	q.Cancel(e)
-	q.Drain()
+	drain(q)
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -62,25 +68,6 @@ func TestQueueCancel(t *testing.T) {
 	// Cancelling again (and cancelling nil) must be safe.
 	q.Cancel(e)
 	q.Cancel(nil)
-}
-
-func TestQueueRunUntil(t *testing.T) {
-	var c Clock
-	q := NewQueue(&c)
-	var fired []Time
-	q.At(100, func(now Time) { fired = append(fired, now) })
-	q.At(200, func(now Time) { fired = append(fired, now) })
-	q.At(900, func(now Time) { fired = append(fired, now) })
-	q.RunUntil(500)
-	if len(fired) != 2 {
-		t.Fatalf("RunUntil(500) fired %d events, want 2", len(fired))
-	}
-	if c.Now() != 500 {
-		t.Fatalf("clock at %d, want 500", c.Now())
-	}
-	if q.Len() != 1 {
-		t.Fatalf("queue has %d events left, want 1", q.Len())
-	}
 }
 
 func TestQueueSchedulingInsideEvent(t *testing.T) {
@@ -95,12 +82,12 @@ func TestQueueSchedulingInsideEvent(t *testing.T) {
 		}
 	}
 	q.After(10, tick)
-	q.RunUntil(1000)
+	drain(q)
 	if count != 5 {
 		t.Fatalf("self-rescheduling ticked %d times, want 5", count)
 	}
-	if c.Now() != 1000 {
-		t.Fatalf("clock at %d, want 1000", c.Now())
+	if c.Now() != 50 {
+		t.Fatalf("clock at %d, want 50", c.Now())
 	}
 }
 

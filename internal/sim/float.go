@@ -11,6 +11,8 @@ const FloatEps = 1e-9
 // to their magnitude. It is the comparison the floateq analyzer directs
 // cycle/budget code to: exact ==/!= between computed floats diverges
 // when a refactor reorders a sum, while an epsilon compare does not.
+//
+//vulcan:keep the floateq analyzer's diagnostic names it as the fix
 func ApproxEq(a, b float64) bool {
 	return ApproxEqEps(a, b, FloatEps)
 }

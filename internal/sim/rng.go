@@ -1,7 +1,5 @@
 package sim
 
-import "math"
-
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xoshiro256** seeded via SplitMix64). Every simulated component draws
 // from its own RNG stream forked off a scenario seed, so experiments are
@@ -72,9 +70,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -82,36 +77,3 @@ func (r *RNG) Float64() float64 {
 
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
-
-// NormFloat64 returns a normally distributed float64 with mean 0 and
-// standard deviation 1, using the Box–Muller transform.
-func (r *RNG) NormFloat64() float64 {
-	// Rejection-free Box–Muller; u1 in (0,1] to avoid log(0).
-	u1 := 1.0 - r.Float64()
-	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
-// ExpFloat64 returns an exponentially distributed float64 with rate 1.
-func (r *RNG) ExpFloat64() float64 {
-	return -math.Log(1.0 - r.Float64())
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -90,71 +89,6 @@ func TestRNGForkIndependence(t *testing.T) {
 	}
 	if same > 0 {
 		t.Fatalf("forked stream matched parent %d/100 times", same)
-	}
-}
-
-func TestRNGPermIsPermutation(t *testing.T) {
-	check := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := NewRNG(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRNGShuffle(t *testing.T) {
-	r := NewRNG(5)
-	vals := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	sum := 0
-	for _, v := range vals {
-		sum += v
-	}
-	if sum != 28 {
-		t.Fatalf("shuffle lost elements: sum=%d", sum)
-	}
-}
-
-func TestRNGNormFloat64Moments(t *testing.T) {
-	r := NewRNG(13)
-	const n = 200000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.01 {
-		t.Errorf("normal mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.02 {
-		t.Errorf("normal variance = %v, want ~1", variance)
-	}
-}
-
-func TestRNGExpFloat64Mean(t *testing.T) {
-	r := NewRNG(17)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exponential mean = %v, want ~1", mean)
 	}
 }
 

@@ -2,8 +2,10 @@ package system
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
+	"vulcan/internal/checkpoint"
 	"vulcan/internal/fault"
 	"vulcan/internal/obs"
 	"vulcan/internal/sim"
@@ -160,4 +162,92 @@ func TestResumeCorruptionNeverPanics(t *testing.T) {
 			t.Fatalf("corruption at byte %d accepted", i)
 		}
 	}
+}
+
+// TestResumeRejectsV1ProfilerSection: profiler sections are read at
+// wire version 2 only. A container whose app.N.profiler sections hold a
+// well-formed version-1 (flat entry list) encoding of the same state
+// must make Resume return an error, not decode it and not panic.
+func TestResumeRejectsV1ProfilerSection(t *testing.T) {
+	sys := New(ckptConfig(nil))
+	runEpochs(sys, 4)
+	var blob bytes.Buffer
+	if err := sys.Checkpoint(&blob); err != nil {
+		t.Fatal(err)
+	}
+	rewritten := 0
+	v1 := rewriteSections(t, blob.Bytes(), func(name string, version uint32, payload []byte) (uint32, []byte) {
+		if !strings.HasSuffix(name, ".profiler") {
+			return version, payload
+		}
+		rewritten++
+		return 1, hybridV2ToV1(t, payload)
+	})
+	if rewritten != 2 {
+		t.Fatalf("rewrote %d profiler sections, want 2", rewritten)
+	}
+	if _, err := Resume(bytes.NewReader(v1), ckptConfig(nil)); err == nil {
+		t.Fatal("version-1 profiler section accepted")
+	}
+}
+
+// rewriteSections re-encodes a checkpoint container, passing every
+// section through fn.
+func rewriteSections(t *testing.T, blob []byte, fn func(name string, version uint32, payload []byte) (uint32, []byte)) []byte {
+	t.Helper()
+	d := checkpoint.NewDecoder(blob[len(checkpoint.Magic) : len(blob)-8])
+	if v := d.U32(); v != checkpoint.Version {
+		t.Fatalf("container version %d", v)
+	}
+	w := checkpoint.NewWriter()
+	for n := d.U32(); n > 0; n-- {
+		name := d.String()
+		version := d.U32()
+		payload := d.Bytes64()
+		d.U64() // payload checksum, recomputed by the writer
+		version, payload = fn(name, version, payload)
+		e := w.Section(name, version)
+		for _, b := range payload {
+			e.U8(b)
+		}
+	}
+	if d.Err() != nil || d.Remaining() != 0 {
+		t.Fatalf("parsing container: %v (%d bytes left)", d.Err(), d.Remaining())
+	}
+	var out bytes.Buffer
+	if _, err := w.WriteTo(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// hybridV2ToV1 re-encodes a Hybrid profiler section from the version-2
+// run-length heat layout into the version-1 layout: the entry count,
+// then ascending (page, heat, reads, writes) tuples.
+func hybridV2ToV1(t *testing.T, payload []byte) []byte {
+	t.Helper()
+	d := checkpoint.NewDecoder(payload)
+	e := &checkpoint.Encoder{}
+	if tag := d.String(); tag != "hybrid" {
+		t.Fatalf("profiler tag %q, want hybrid", tag)
+	}
+	e.String("hybrid")
+	for i := 0; i < 5; i++ { // rng state (4 words), in-flight sample count
+		e.U64(d.U64())
+	}
+	e.Int(d.Int()) // entries
+	for runs := d.Int(); runs > 0; runs-- {
+		start := d.U64()
+		n := d.Int()
+		for i := 0; i < n; i++ {
+			e.U64(start + uint64(i))
+			e.F64(d.F64()) // heat
+			e.F64(d.F64()) // reads
+			e.F64(d.F64()) // writes
+		}
+	}
+	if d.Err() != nil || d.Remaining() != 0 {
+		t.Fatalf("decoding hybrid section: %v (%d bytes left)", d.Err(), d.Remaining())
+	}
+	return e.Bytes()
 }

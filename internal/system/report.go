@@ -60,7 +60,7 @@ func (s *System) Report() Report {
 		SlowCapacity:  slow.Capacity(),
 		SlowUsed:      slow.Used(),
 		CFI:           s.cfi.Index(),
-		Mechanisms:    s.mechanisms(),
+		Mechanisms:    s.Mechanisms(),
 		AuditOK:       audit.Ok(),
 		AuditProblems: audit.Errors,
 	}
@@ -142,13 +142,4 @@ func (r Report) WriteText(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// TierUtilization returns fast-tier used fraction, a convenience for
-// dashboards.
-func (r Report) TierUtilization() float64 {
-	if r.FastCapacity == 0 {
-		return 0
-	}
-	return float64(r.FastUsed) / float64(r.FastCapacity)
 }

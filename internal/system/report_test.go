@@ -51,11 +51,8 @@ func TestReportContents(t *testing.T) {
 	if late.Started || late.RSSPages != 0 {
 		t.Fatalf("unstarted app leaked data: %+v", late)
 	}
-	if u := r.TierUtilization(); u != 1.0 {
-		t.Fatalf("utilization = %v", u)
-	}
-	if (Report{}).TierUtilization() != 0 {
-		t.Fatal("zero-capacity utilization not 0")
+	if r.FastCapacity == 0 || r.FastUsed != r.FastCapacity {
+		t.Fatalf("fast tier %d/%d used, want full", r.FastUsed, r.FastCapacity)
 	}
 }
 
@@ -186,20 +183,6 @@ func TestSystemAccessors(t *testing.T) {
 	}
 	if sys.Audit().String() == "" {
 		t.Fatal("audit String empty")
-	}
-}
-
-func TestMechanismOverride(t *testing.T) {
-	override := Mechanisms{OptimizedPrep: true}
-	sys := New(Config{
-		Machine:           tinyMachine(256, 2048),
-		Apps:              []workload.AppConfig{tinyApp("a", workload.LC, 500, 0)},
-		EpochLength:       10 * sim.Millisecond,
-		Policy:            NullPolicy{}, // declares no mechanisms
-		MechanismOverride: &override,
-	})
-	if got := sys.Mechanisms(); got != override {
-		t.Fatalf("override ignored: %+v", got)
 	}
 }
 

@@ -76,96 +76,3 @@ func (w *WebServer) Next() Ref {
 		}
 	}
 }
-
-// HashJoin models an analytics hash join (BE) with two distinct phases,
-// exercising how quickly a tiering policy re-adapts when the working set
-// shifts:
-//
-//   - Build: stream the smaller relation while writing a hash-table
-//     region randomly (write-intensive random access — the worst case
-//     for async migration).
-//   - Probe: stream the larger relation while reading the hash table
-//     randomly (read-intensive; the hash table is the hot set).
-//
-// Phases alternate every PhaseLength references.
-type HashJoin struct {
-	pages       int
-	hashPages   int
-	buildPages  int
-	phaseLength int
-
-	emitted int
-	buildC  int
-	probeC  int
-	rng     *sim.RNG
-}
-
-// NewHashJoin builds the generator: 20% hash table, 20% build relation,
-// 60% probe relation; phases flip every phaseLength refs.
-func NewHashJoin(pages, phaseLength int, rng *sim.RNG) *HashJoin {
-	checkRegion(pages, 0)
-	if phaseLength <= 0 {
-		panic("workload: non-positive phase length")
-	}
-	hash := pages / 5
-	build := pages / 5
-	if hash < 1 {
-		hash = 1
-	}
-	if build < 1 {
-		build = 1
-	}
-	if hash+build >= pages {
-		hash, build = 1, 1
-	}
-	return &HashJoin{
-		pages:       pages,
-		hashPages:   hash,
-		buildPages:  build,
-		phaseLength: phaseLength,
-		rng:         rng,
-	}
-}
-
-// Name implements Generator.
-func (h *HashJoin) Name() string { return "hashjoin" }
-
-// Pages implements Generator.
-func (h *HashJoin) Pages() int { return h.pages }
-
-// HashPages returns the hash-table region size.
-func (h *HashJoin) HashPages() int { return h.hashPages }
-
-// InBuildPhase reports which phase the next reference belongs to.
-func (h *HashJoin) InBuildPhase() bool {
-	return (h.emitted/h.phaseLength)%2 == 0
-}
-
-// Next implements Generator.
-func (h *HashJoin) Next() Ref {
-	build := h.InBuildPhase()
-	h.emitted++
-	if h.rng.Bool(0.5) {
-		// Hash-table access: writes while building, reads while probing.
-		return Ref{
-			Page:       h.rng.Intn(h.hashPages),
-			Write:      build,
-			LLCHitProb: 0.20,
-		}
-	}
-	if build {
-		p := h.hashPages + h.buildC
-		h.buildC++
-		if h.buildC >= h.buildPages {
-			h.buildC = 0
-		}
-		return Ref{Page: p, Write: false, LLCHitProb: 0.03}
-	}
-	base := h.hashPages + h.buildPages
-	p := base + h.probeC
-	h.probeC++
-	if base+h.probeC >= h.pages {
-		h.probeC = 0
-	}
-	return Ref{Page: p, Write: false, LLCHitProb: 0.03}
-}

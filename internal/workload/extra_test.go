@@ -61,89 +61,9 @@ func TestWebServerTinyRegion(t *testing.T) {
 	}
 }
 
-func TestHashJoinPhases(t *testing.T) {
-	g := NewHashJoin(1000, 500, sim.NewRNG(4))
-	if g.HashPages() != 200 {
-		t.Fatalf("hash pages = %d, want 200", g.HashPages())
-	}
-	if !g.InBuildPhase() {
-		t.Fatal("join must start in build phase")
-	}
-	// During build: hash-table accesses are writes, streaming hits the
-	// build relation (pages 200..399).
-	for i := 0; i < 500; i++ {
-		r := g.Next()
-		if r.Page < 200 {
-			if !r.Write {
-				t.Fatal("build-phase hash access not a write")
-			}
-		} else if r.Page >= 400 {
-			t.Fatalf("build phase touched probe relation page %d", r.Page)
-		}
-	}
-	if g.InBuildPhase() {
-		t.Fatal("phase did not flip after phaseLength refs")
-	}
-	// During probe: hash accesses are reads, streaming hits pages 400+.
-	for i := 0; i < 500; i++ {
-		r := g.Next()
-		if r.Page < 200 {
-			if r.Write {
-				t.Fatal("probe-phase hash access is a write")
-			}
-		} else if r.Page < 400 {
-			t.Fatalf("probe phase touched build relation page %d", r.Page)
-		}
-	}
-	if !g.InBuildPhase() {
-		t.Fatal("phase did not flip back")
-	}
-}
-
-func TestHashJoinWriteIntensityFlips(t *testing.T) {
-	// The hash region's write intensity must flip between phases — the
-	// signal Vulcan's biased queues react to (Table 1 classification).
-	g := NewHashJoin(1000, 2000, sim.NewRNG(5))
-	countWrites := func(n int) (hashWrites, hashRefs int) {
-		for i := 0; i < n; i++ {
-			r := g.Next()
-			if r.Page < g.HashPages() {
-				hashRefs++
-				if r.Write {
-					hashWrites++
-				}
-			}
-		}
-		return
-	}
-	w1, r1 := countWrites(2000) // build
-	w2, r2 := countWrites(2000) // probe
-	if r1 == 0 || r2 == 0 {
-		t.Fatal("no hash refs sampled")
-	}
-	if w1 != r1 {
-		t.Fatalf("build-phase hash writes %d/%d, want all", w1, r1)
-	}
-	if w2 != 0 {
-		t.Fatalf("probe-phase hash writes %d, want none", w2)
-	}
-}
-
-func TestHashJoinValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero phase length did not panic")
-		}
-	}()
-	NewHashJoin(100, 0, sim.NewRNG(1))
-}
-
 func TestExtraGeneratorIdentity(t *testing.T) {
 	rng := sim.NewRNG(1)
 	if NewWebServer(100, rng).Name() != "webserver" {
 		t.Fatal("webserver name")
-	}
-	if NewHashJoin(100, 10, rng).Name() != "hashjoin" {
-		t.Fatal("hashjoin name")
 	}
 }

@@ -159,12 +159,6 @@ func PageRank() AppConfig { return workload.PageRankConfig() }
 // Liblinear returns the paper's BE ML workload (69 GB at 1/64 scale).
 func Liblinear() AppConfig { return workload.LiblinearConfig() }
 
-// Microbenchmark returns a Nomad-style Zipfian working-set workload with
-// the given footprint (§5.2 / Figure 8).
-func Microbenchmark(name string, rssPages, wssPages int, writeFrac float64) AppConfig {
-	return workload.NomadMicroConfig(name, rssPages, wssPages, writeFrac)
-}
-
 // JainIndex computes Jain's fairness index over allocations.
 func JainIndex(xs []float64) float64 { return metrics.JainIndex(xs) }
 
@@ -210,10 +204,6 @@ type (
 	// FaultPlan declares what to inject, how often, and how the system
 	// may respond (retry budget, backoff, confidence threshold).
 	FaultPlan = fault.Plan
-	// FaultRule is one (kind, scope, rate, severity) injection rule.
-	FaultRule = fault.Rule
-	// FaultKind enumerates the injectable fault classes.
-	FaultKind = fault.Kind
 )
 
 // FaultPlanAtRate returns the canonical all-kinds chaos plan at the
