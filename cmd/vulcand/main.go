@@ -70,7 +70,6 @@ func main() {
 		ckptEvery  = flag.Int("checkpoint-every", 0, "write a rolling checkpoint every N epochs (needs -checkpoint-base)")
 		ckptRetain = flag.Int("checkpoint-retain", 2, "keep the newest N rolling checkpoints (0 = all)")
 		speed      = flag.Float64("speed", 1, "epochs per wall-clock second; 0 = manual stepping via POST /v1/step")
-		maxBacklog = flag.Int("max-backlog", 0, "bound the async migration backlog (0 = unbounded)")
 		rescore    = flag.Bool("rescore", false, "use the incremental rescore path")
 		resume     = flag.Bool("resume", false, "recover a killed or suspended run from its journal and newest rolling checkpoint")
 		postPath   = flag.String("post", "", "client mode: POST this API path over -socket and print the reply")
@@ -109,7 +108,6 @@ func main() {
 		CheckpointBase:   *ckptBase,
 		CheckpointEvery:  *ckptEvery,
 		CheckpointRetain: *ckptRetain,
-		MaxBacklog:       *maxBacklog,
 		Rescore:          *rescore,
 	}
 

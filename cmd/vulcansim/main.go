@@ -23,6 +23,11 @@
 // simulations on a worker pool (-parallel, default GOMAXPROCS) and
 // reports them in seed order; per-seed artifacts get a ".seedK" suffix
 // before the extension. Output is byte-identical at any -parallel value.
+// A single run is the one-seed case of the same path.
+//
+// A -config scenario runs one host (or a fleet, with a "fleet" block).
+// Scenarios with an "arrivals" block are served, not batch-run: start
+// them under vulcand and rebuild the run with -replay-journal.
 //
 // Fault injection (-faults off|light|moderate|heavy, or -fault-rate R
 // for the canonical plan at rate R) is clock-keyed and seed-derived:
@@ -93,6 +98,21 @@ type costFlags struct {
 // wanted reports whether any cost artifact was requested.
 func (c costFlags) wanted() bool { return c.pb != "" || c.folded != "" || c.csv != "" }
 
+// outputs are the report format and artifact paths of a single-host
+// run, as the flags request them.
+type outputs struct {
+	json                   bool
+	series, trace, metrics string
+	obsFilter              string
+	cost                   costFlags
+}
+
+// ckptFlags are the checkpoint/resume flags of a single-run experiment.
+type ckptFlags struct {
+	resume, out   string
+	every, retain int
+}
+
 func main() {
 	var (
 		policyName = flag.String("policy", "vulcan", "tiering policy: "+strings.Join(figures.PolicyNames, ", "))
@@ -127,7 +147,11 @@ func main() {
 	)
 	flag.Parse()
 	lab.SetDefaultWorkers(*parallel)
-	cost := costFlags{pb: *costPB, folded: *costFolded, csv: *costCSV}
+	out := outputs{
+		json: *jsonOut, series: *seriesOut, trace: *traceOut, metrics: *metricsOut, obsFilter: *obsFilter,
+		cost: costFlags{pb: *costPB, folded: *costFolded, csv: *costCSV},
+	}
+	ck := ckptFlags{resume: *resumeFrom, out: *ckptOut, every: *ckptEvery, retain: *ckptRetain}
 
 	// Plane-B self-profiling of the simulator process. Deferred writers
 	// run on every normal return path; log.Fatal error paths lose the
@@ -164,50 +188,50 @@ func main() {
 	if !figures.ValidPolicy(*policyName) {
 		log.Fatalf("unknown policy %q (want one of %s)", *policyName, strings.Join(figures.PolicyNames, ", "))
 	}
-	if *ckptEvery < 0 || *ckptRetain < 0 {
+	if ck.every < 0 || ck.retain < 0 {
 		log.Fatal("-checkpoint-every and -checkpoint-retain must be >= 0")
 	}
-	if *ckptEvery > 0 && *ckptOut == "" {
+	if ck.every > 0 && ck.out == "" {
 		log.Fatal("-checkpoint-every needs -checkpoint-out")
 	}
-	if *ckptRetain > 0 && *ckptEvery == 0 {
+	if ck.retain > 0 && ck.every == 0 {
 		log.Fatal("-checkpoint-retain needs -checkpoint-every")
 	}
-	if (*ckptOut != "" || *resumeFrom != "") && *seedsN > 1 {
+	if (ck.out != "" || ck.resume != "") && *seedsN > 1 {
 		log.Fatal("-checkpoint-out/-resume are single-run flags; they exclude -seeds > 1")
 	}
 
 	if *replayJrnl != "" {
 		// The journal header IS the scenario; flags that would define or
 		// alter one are contradictions, not overrides.
-		if *configPath != "" || *fleetN > 0 || *seedsN > 1 || *seriesOut != "" ||
-			cost.wanted() || plan != nil || *ckptOut != "" || *resumeFrom != "" {
+		if *configPath != "" || *fleetN > 0 || *seedsN > 1 || out.series != "" ||
+			out.cost.wanted() || plan != nil || ck.out != "" || ck.resume != "" {
 			log.Fatal("-replay-journal replays the journal's own scenario: it supports -json, -trace-out, -metrics-out and -parallel only")
 		}
-		runReplayJournal(*replayJrnl, *jsonOut, *traceOut, *metricsOut)
+		runReplayJournal(*replayJrnl, out)
 		return
 	}
 
 	if *fleetN > 0 {
-		if *seedsN > 1 || *configPath != "" || cost.wanted() ||
-			*traceOut != "" || *metricsOut != "" || *seriesOut != "" || *ckptEvery > 0 {
+		if *seedsN > 1 || *configPath != "" || out.cost.wanted() ||
+			out.trace != "" || out.metrics != "" || out.series != "" || ck.every > 0 {
 			log.Fatal("-fleet runs one fleet: it excludes -seeds, -config, -series, trace/metrics and cost artifacts, and -checkpoint-every")
 		}
 		runFleet(fleetConfig(*fleetN, *schedName, *policyName, *scale, *seed, plan),
-			*seconds, *jsonOut, *resumeFrom, *ckptOut)
+			*seconds, out.json, ck)
 		return
 	}
 
+	if *configPath != "" && *seedsN > 1 {
+		log.Fatal("-seeds applies to flag-defined scenarios, not -config runs")
+	}
+	// Validate the filter once up front; every seed's worker reparses it
+	// (deterministically) for its private recorder.
+	if _, err := buildRecorder(out.trace, out.metrics, out.obsFilter); err != nil {
+		log.Fatal(err)
+	}
 	if *configPath != "" {
-		if *seedsN > 1 {
-			log.Fatal("-seeds applies to flag-defined scenarios, not -config runs")
-		}
-		rec, err := buildRecorder(*traceOut, *metricsOut, *obsFilter)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runConfigFile(*configPath, *seriesOut, *jsonOut, rec, *traceOut, *metricsOut, cost, plan,
-			*resumeFrom, *ckptOut, *ckptEvery, *ckptRetain)
+		runConfigFile(*configPath, out, plan, ck)
 		return
 	}
 
@@ -232,122 +256,85 @@ func main() {
 			apps[i].StartAt = vulcan.Time(i) * vulcan.Time(50*sim.Second) * 11 / 10
 		}
 	}
-
-	if *seedsN > 1 {
-		// Validate the filter once before fanning out; workers reparse
-		// it (deterministically) for their private recorders.
-		if *obsFilter != "" {
-			if _, err := obs.ParseFilter(*obsFilter); err != nil {
-				log.Fatal(err)
-			}
-		}
-		// Each seed is a self-contained run: fresh policy, recorder,
-		// cost profiler and system per worker. Output is rendered to
-		// buffers in parallel and committed to stdout/disk serially in
-		// seed order, so bytes never depend on -parallel.
-		type seedOut struct {
-			report, series, trace, metrics []byte
-			costPB, costFolded, costCSV    []byte
-		}
-		outs := lab.Map(0, *seedsN, func(i int) seedOut {
-			rec, err := buildRecorder(*traceOut, *metricsOut, *obsFilter)
-			if err != nil {
-				panic(err) // filter validated before the fan-out
-			}
-			p := buildCostProfiler(cost)
-			cfg := vulcan.Config{
-				Machine:          figures.ColocationMachine(*scale),
-				Apps:             apps,
-				Policy:           figures.NewPolicy(*policyName),
-				Seed:             *seed + uint64(i),
-				SamplesPerThread: figures.SamplesForScale(*scale),
-				Faults:           plan,
-				Prof:             p,
-			}
-			if rec != nil {
-				cfg.Obs = rec
-				rec.AttachCostProfiler(p)
-			}
-			sys := vulcan.NewSystem(cfg)
-			sys.Run(vulcan.Duration(*seconds) * vulcan.Second)
-			var o seedOut
-			o.report = renderReport(sys, *jsonOut)
-			if *seriesOut != "" {
-				o.series = renderTo(sys.Recorder().WriteCSV)
-			}
-			if *traceOut != "" {
-				o.trace = renderTo(rec.WriteChromeTrace)
-			}
-			if *metricsOut != "" {
-				o.metrics = renderTo(rec.WriteMetricsCSV)
-			}
-			if cost.pb != "" {
-				o.costPB = renderTo(p.WritePprof)
-			}
-			if cost.folded != "" {
-				o.costFolded = renderTo(p.WriteFolded)
-			}
-			if cost.csv != "" {
-				o.costCSV = renderTo(p.WriteBreakdownCSV)
-			}
-			return o
-		})
-		for i, o := range outs {
-			s := *seed + uint64(i)
-			if !*jsonOut {
-				fmt.Printf("### seed %d\n", s)
-			}
-			os.Stdout.Write(o.report)
-			if *seriesOut != "" {
-				writeBytesArtifact(seedPath(*seriesOut, s), "time series", o.series)
-			}
-			if *traceOut != "" {
-				writeBytesArtifact(seedPath(*traceOut, s), "chrome trace", o.trace)
-			}
-			if *metricsOut != "" {
-				writeBytesArtifact(seedPath(*metricsOut, s), "metric samples", o.metrics)
-			}
-			if cost.pb != "" {
-				writeBytesArtifact(seedPath(cost.pb, s), "cost profile", o.costPB)
-			}
-			if cost.folded != "" {
-				writeBytesArtifact(seedPath(cost.folded, s), "folded cost stacks", o.costFolded)
-			}
-			if cost.csv != "" {
-				writeBytesArtifact(seedPath(cost.csv, s), "cost breakdown", o.costCSV)
-			}
-		}
-		return
-	}
-
-	rec, err := buildRecorder(*traceOut, *metricsOut, *obsFilter)
-	if err != nil {
-		log.Fatal(err)
-	}
-	p := buildCostProfiler(cost)
-	mcfg := figures.ColocationMachine(*scale)
-	cfg := vulcan.Config{
-		Machine:          mcfg,
+	runHost(vulcan.Config{
+		Machine:          figures.ColocationMachine(*scale),
 		Apps:             apps,
-		Policy:           figures.NewPolicy(*policyName),
 		Seed:             *seed,
 		SamplesPerThread: figures.SamplesForScale(*scale),
 		Faults:           plan,
-		Prof:             p,
+	}, *policyName, *seconds, max(*seedsN, 1), out, ck)
+}
+
+// artifact is one rendered output file of a run.
+type artifact struct {
+	path, what string
+	data       []byte
+}
+
+// seedOut is one seed's rendered report and artifacts.
+type seedOut struct {
+	report []byte
+	files  []artifact
+}
+
+// runHost is the single-host run path. It runs seeds [cfg.Seed,
+// cfg.Seed+seeds) as independent simulations on the lab worker pool —
+// each with a fresh policy, recorder, cost profiler and system — and
+// renders every report and artifact to memory. They are committed to
+// stdout and disk serially in seed order, so bytes never depend on
+// -parallel. With more than one seed the reports get "### seed K"
+// headers (text mode) and the artifact paths a ".seedK" suffix. ck
+// applies to the one-seed case only (main rejects it otherwise).
+func runHost(cfg vulcan.Config, policy string, seconds, seeds int, out outputs, ck ckptFlags) {
+	outs := lab.Map(0, seeds, func(i int) seedOut {
+		rec, err := buildRecorder(out.trace, out.metrics, out.obsFilter)
+		if err != nil {
+			panic(err) // filter validated before the fan-out
+		}
+		p := buildCostProfiler(out.cost)
+		c := cfg
+		c.Seed += uint64(i)
+		c.Policy = figures.NewPolicy(policy)
+		c.Prof = p
+		if rec != nil {
+			c.Obs = rec
+			rec.AttachCostProfiler(p)
+		}
+		sys := runSystem(c, seconds, ck)
+		o := seedOut{report: renderReport(sys, out.json)}
+		add := func(path, what string, write func(io.Writer) error) {
+			if path != "" {
+				o.files = append(o.files, artifact{path, what, renderTo(write)})
+			}
+		}
+		add(out.series, "time series", sys.Recorder().WriteCSV)
+		add(out.trace, "chrome trace", rec.WriteChromeTrace)
+		add(out.metrics, "metric samples", rec.WriteMetricsCSV)
+		add(out.cost.pb, "cost profile", p.WritePprof)
+		add(out.cost.folded, "folded cost stacks", p.WriteFolded)
+		add(out.cost.csv, "cost breakdown", p.WriteBreakdownCSV)
+		return o
+	})
+	for i, o := range outs {
+		s := cfg.Seed + uint64(i)
+		if seeds > 1 && !out.json {
+			fmt.Printf("### seed %d\n", s)
+		}
+		os.Stdout.Write(o.report)
+		for _, a := range o.files {
+			path := a.path
+			if seeds > 1 {
+				path = seedPath(path, s)
+			}
+			writeBytesArtifact(path, a.what, a.data)
+		}
 	}
-	if rec != nil {
-		cfg.Obs = rec
-		rec.AttachCostProfiler(p)
-	}
-	sys := runSystem(cfg, *seconds, *resumeFrom, *ckptOut, *ckptEvery, *ckptRetain)
-	finish(sys, *jsonOut, *seriesOut, rec, *traceOut, *metricsOut)
-	writeCostArtifacts(p, cost)
 }
 
 // runReplayJournal rebuilds a vulcand serving run from its command
 // journal in batch mode and renders the same artifacts the daemon
 // streamed.
-func runReplayJournal(path string, jsonOut bool, traceOut, metricsOut string) {
+func runReplayJournal(path string, out outputs) {
 	s, err := serve.Replay(path)
 	if err != nil {
 		log.Fatal(err)
@@ -355,14 +342,14 @@ func runReplayJournal(path string, jsonOut bool, traceOut, metricsOut string) {
 	if err := s.Run(); err != nil {
 		log.Fatal(err)
 	}
-	if err := s.WriteReport(os.Stdout, jsonOut); err != nil {
+	if err := s.WriteReport(os.Stdout, out.json); err != nil {
 		log.Fatal(err)
 	}
-	if traceOut != "" {
-		writeArtifact(traceOut, "chrome trace", s.WriteTrace)
+	if out.trace != "" {
+		writeBytesArtifact(out.trace, "chrome trace", renderTo(s.WriteTrace))
 	}
-	if metricsOut != "" {
-		writeArtifact(metricsOut, "metric samples", s.WriteMetrics)
+	if out.metrics != "" {
+		writeBytesArtifact(out.metrics, "metric samples", renderTo(s.WriteMetrics))
 	}
 }
 
@@ -370,33 +357,33 @@ func runReplayJournal(path string, jsonOut bool, traceOut, metricsOut string) {
 // simulated time, writing interim and final checkpoints as requested.
 // Checkpoints happen on epoch boundaries, which whole-second steps
 // align with (the default epoch is 1s).
-func runSystem(cfg vulcan.Config, seconds int, resumeFrom, ckptOut string, ckptEvery, ckptRetain int) *vulcan.System {
+func runSystem(cfg vulcan.Config, seconds int, ck ckptFlags) *vulcan.System {
 	var sys *vulcan.System
-	if resumeFrom != "" {
-		f, err := os.Open(resumeFrom)
+	if ck.resume != "" {
+		f, err := os.Open(ck.resume)
 		if err != nil {
 			log.Fatal(err)
 		}
 		sys, err = vulcan.Resume(f, cfg)
 		f.Close()
 		if err != nil {
-			log.Fatalf("resume %s: %v", resumeFrom, err)
+			log.Fatalf("resume %s: %v", ck.resume, err)
 		}
-		fmt.Fprintf(os.Stderr, "resumed from %s at t=%ds\n", resumeFrom, simSeconds(sys))
+		fmt.Fprintf(os.Stderr, "resumed from %s at t=%ds\n", ck.resume, simSeconds(sys))
 	} else {
 		sys = vulcan.NewSystem(cfg)
 	}
-	if ckptEvery > 0 {
+	if ck.every > 0 {
 		for done := 0; done < seconds; {
-			step := ckptEvery
+			step := ck.every
 			if done+step > seconds {
 				step = seconds - done
 			}
 			sys.Run(vulcan.Duration(step) * vulcan.Second)
 			done += step
 			if done < seconds {
-				writeCheckpoint(sys, checkpoint.RollingPath(ckptOut, simSeconds(sys)))
-				if _, err := checkpoint.PruneRolling(ckptOut, ckptRetain); err != nil {
+				writeCheckpoint(sys, checkpoint.RollingPath(ck.out, simSeconds(sys)))
+				if _, err := checkpoint.PruneRolling(ck.out, ck.retain); err != nil {
 					log.Fatalf("prune checkpoints: %v", err)
 				}
 			}
@@ -404,8 +391,8 @@ func runSystem(cfg vulcan.Config, seconds int, resumeFrom, ckptOut string, ckptE
 	} else {
 		sys.Run(vulcan.Duration(seconds) * vulcan.Second)
 	}
-	if ckptOut != "" {
-		writeCheckpoint(sys, ckptOut)
+	if ck.out != "" {
+		writeCheckpoint(sys, ck.out)
 	}
 	return sys
 }
@@ -445,39 +432,33 @@ func fleetConfig(hosts int, scheduler, policyName string, scale int, seed uint64
 }
 
 // runFleet executes fleet mode: the configured hosts stepped seconds
-// fleet epochs, with optional fleet checkpoint/resume.
-func runFleet(cfg cluster.Config, seconds int, jsonOut bool, resumeFrom, ckptOut string) {
+// fleet epochs, with optional fleet checkpoint/resume (ck.every is
+// rejected by the callers).
+func runFleet(cfg cluster.Config, seconds int, jsonOut bool, ck ckptFlags) {
 	var f *cluster.Fleet
 	var err error
-	if resumeFrom != "" {
-		in, err2 := os.Open(resumeFrom)
+	if ck.resume != "" {
+		in, err2 := os.Open(ck.resume)
 		if err2 != nil {
 			log.Fatal(err2)
 		}
 		f, err = cluster.Resume(in, cfg)
 		in.Close()
 		if err != nil {
-			log.Fatalf("resume %s: %v", resumeFrom, err)
+			log.Fatalf("resume %s: %v", ck.resume, err)
 		}
-		fmt.Fprintf(os.Stderr, "resumed fleet from %s at epoch %d\n", resumeFrom, f.Epoch())
+		fmt.Fprintf(os.Stderr, "resumed fleet from %s at epoch %d\n", ck.resume, f.Epoch())
 	} else if f, err = cluster.New(cfg); err != nil {
 		log.Fatal(err)
 	}
 	if err := f.Run(seconds); err != nil {
 		log.Fatal(err)
 	}
-	if ckptOut != "" {
-		out, err := os.Create(ckptOut)
-		if err != nil {
-			log.Fatal(err)
+	if ck.out != "" {
+		if err := checkpoint.WriteFile(ck.out, f.Checkpoint); err != nil {
+			log.Fatalf("checkpoint %s: %v", ck.out, err)
 		}
-		if err := f.Checkpoint(out); err != nil {
-			log.Fatalf("checkpoint %s: %v", ckptOut, err)
-		}
-		if err := out.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "fleet checkpoint written to %s (epoch %d)\n", ckptOut, f.Epoch())
+		fmt.Fprintf(os.Stderr, "fleet checkpoint written to %s (epoch %d)\n", ck.out, f.Epoch())
 	}
 	if jsonOut {
 		if err := f.Report().WriteJSON(os.Stdout); err != nil {
@@ -493,14 +474,10 @@ func simSeconds(sys *vulcan.System) int {
 	return int(sim.Duration(sys.Now()) / sim.Second)
 }
 
-// writeCheckpoint serializes the full simulation state to path.
+// writeCheckpoint atomically serializes the full simulation state to
+// path.
 func writeCheckpoint(sys *vulcan.System, path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if err := sys.Checkpoint(f); err != nil {
+	if err := checkpoint.WriteFile(path, sys.Checkpoint); err != nil {
 		log.Fatalf("checkpoint %s: %v", path, err)
 	}
 	fmt.Fprintf(os.Stderr, "checkpoint written to %s (t=%ds)\n", path, simSeconds(sys))
@@ -575,22 +552,6 @@ func buildCostProfiler(cost costFlags) *prof.Profiler {
 	return prof.New()
 }
 
-// writeCostArtifacts writes the requested cost-profile artifacts.
-func writeCostArtifacts(p *prof.Profiler, cost costFlags) {
-	if p == nil {
-		return
-	}
-	if cost.pb != "" {
-		writeArtifact(cost.pb, "cost profile", p.WritePprof)
-	}
-	if cost.folded != "" {
-		writeArtifact(cost.folded, "folded cost stacks", p.WriteFolded)
-	}
-	if cost.csv != "" {
-		writeArtifact(cost.csv, "cost breakdown", p.WriteBreakdownCSV)
-	}
-}
-
 // buildFaultPlan resolves the three fault flags to at most one plan.
 // -faults names a canned profile; -fault-rate builds the canonical
 // all-kinds plan at an explicit rate; the two are mutually exclusive.
@@ -623,8 +584,7 @@ func buildFaultPlan(profile string, rate float64, seed uint64) (*vulcan.FaultPla
 
 // runConfigFile executes a JSON-defined scenario. A -faults/-fault-rate
 // flag plan overrides the file's own faults block.
-func runConfigFile(path, seriesOut string, jsonOut bool, rec *obs.Recorder, traceOut, metricsOut string,
-	cost costFlags, plan *vulcan.FaultPlan, resumeFrom, ckptOut string, ckptEvery, ckptRetain int) {
+func runConfigFile(path string, out outputs, plan *vulcan.FaultPlan, ck ckptFlags) {
 	f, err := os.Open(path)
 	if err != nil {
 		log.Fatal(err)
@@ -634,68 +594,30 @@ func runConfigFile(path, seriesOut string, jsonOut bool, rec *obs.Recorder, trac
 	if err != nil {
 		log.Fatal(err)
 	}
+	if parsed.Arrivals != nil {
+		// The churn process admits and stops apps at epoch boundaries,
+		// which only the serving session drives.
+		log.Fatalf("%s: scenarios with an arrivals block run under vulcand; "+
+			"replay its journal with vulcansim -replay-journal", path)
+	}
 	if plan == nil {
 		plan = parsed.Faults
 	}
+	seconds := int(parsed.Duration / sim.Duration(sim.Second))
 	if parsed.Fleet != nil {
-		if rec != nil || cost.wanted() || seriesOut != "" || ckptEvery > 0 {
+		if out.trace != "" || out.metrics != "" || out.obsFilter != "" || out.cost.wanted() || out.series != "" || ck.every > 0 {
 			log.Fatal("fleet scenarios support -json, -resume and -checkpoint-out only " +
 				"(no series, trace/metrics or cost artifacts, no -checkpoint-every)")
 		}
 		parsed.Faults = plan // flag plan overrides the file's block
 		newPol := func() vulcan.Tiering { return figures.NewPolicy(parsed.Policy) }
-		cfg := parsed.Fleet.ClusterConfig(parsed, newPol, sim.Second, 0)
-		runFleet(cfg, int(parsed.Duration/sim.Duration(sim.Second)), jsonOut, resumeFrom, ckptOut)
+		runFleet(parsed.Fleet.ClusterConfig(parsed, newPol, sim.Second, 0), seconds, out.json, ck)
 		return
 	}
-	p := buildCostProfiler(cost)
-	cfg := vulcan.Config{
+	runHost(vulcan.Config{
 		Machine: parsed.Machine,
 		Apps:    parsed.Apps,
-		Policy:  figures.NewPolicy(parsed.Policy),
 		Seed:    parsed.Seed,
 		Faults:  plan,
-		Prof:    p,
-	}
-	if rec != nil {
-		cfg.Obs = rec
-		rec.AttachCostProfiler(p)
-	}
-	sys := runSystem(cfg, int(parsed.Duration/sim.Duration(sim.Second)), resumeFrom, ckptOut, ckptEvery, ckptRetain)
-	finish(sys, jsonOut, seriesOut, rec, traceOut, metricsOut)
-	writeCostArtifacts(p, cost)
-}
-
-// finish prints the run summary and optional artifacts.
-func finish(sys *vulcan.System, jsonOut bool, seriesOut string, rec *obs.Recorder, traceOut, metricsOut string) {
-	if jsonOut {
-		if err := sys.Report().WriteJSON(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-	} else if err := sys.Report().WriteText(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-
-	if seriesOut != "" {
-		writeArtifact(seriesOut, "time series", sys.Recorder().WriteCSV)
-	}
-	if traceOut != "" {
-		writeArtifact(traceOut, "chrome trace", rec.WriteChromeTrace)
-	}
-	if metricsOut != "" {
-		writeArtifact(metricsOut, "metric samples", rec.WriteMetricsCSV)
-	}
-}
-
-// writeArtifact creates path and streams one exporter's output into it.
-func writeArtifact(path, what string, write func(io.Writer) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if err := write(f); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "%s written to %s\n", what, path)
+	}, parsed.Policy, seconds, 1, out, ck)
 }

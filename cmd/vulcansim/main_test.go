@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -125,4 +129,38 @@ func TestBuildFaultPlanProfilesMatchLibrary(t *testing.T) {
 		}
 	}
 	var _ *vulcan.FaultPlan // the facade alias is the flag surface's type
+}
+
+// TestConfigRejectsArrivals: -config runs cannot drive a scenario's
+// arrival process, so a scenario with an arrivals block must fail and
+// point at vulcand and -replay-journal instead of running as if the
+// block were absent.
+func TestConfigRejectsArrivals(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go binary not on PATH")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "vulcansim")
+	if out, err := exec.Command(goBin, "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	scen := filepath.Join(dir, "churn.json")
+	if err := os.WriteFile(scen, []byte(`{"policy": "vulcan", "seconds": 3, "seed": 5, "scale": 8,
+		"apps": [{"preset": "memcached"}],
+		"arrivals": {"rate_per_epoch": 0.4, "seed": 11, "max_live": 2,
+			"template": {"name": "churn", "class": "BE", "threads": 1, "rss_pages": 2048, "generator": "uniform"}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(bin, "-config", scen)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err == nil {
+		t.Fatalf("arrivals scenario ran without its arrivals:\n%s", stdout.String())
+	}
+	for _, want := range []string{"arrivals", "vulcand", "-replay-journal"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr %q does not mention %q", stderr.String(), want)
+		}
+	}
 }

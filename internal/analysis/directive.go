@@ -13,7 +13,9 @@ import (
 //	//vulcan:nosnap <why>       waives one snapfields finding, with a reason
 //	//vulcan:lablocked <why>    waives one labonly sync finding, with a reason
 //	//vulcan:keep <why>         keeps one exported identifier without a
-//	                            non-test caller (the dead-API guard in
+//	                            non-test caller, or one *Config/*Options
+//	                            field nothing sets (the dead-API and
+//	                            unset-option guards in
 //	                            internal/analysis/driver), with a reason
 //
 // Waiver directives attach to the flagged line itself or to the line

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -57,35 +58,41 @@ func rollingEpoch(base, path string) (int, bool) {
 	return n, true
 }
 
-// WriteRolling atomically writes w's image to RollingPath(base, epoch):
-// the bytes land in a temporary sibling which is fsynced and renamed
-// into place. Returns the final path.
+// WriteRolling atomically writes w's image to RollingPath(base, epoch)
+// with WriteFile. Returns the final path.
 func WriteRolling(w *Writer, base string, epoch int) (string, error) {
 	path := RollingPath(base, epoch)
+	return path, WriteFile(path, func(f io.Writer) error {
+		_, err := w.WriteTo(f)
+		return err
+	})
+}
+
+// WriteFile atomically replaces path with what write produces: the
+// bytes land in a ".tmp" sibling which is fsynced, closed and renamed
+// into place. On any error the temporary file is removed and a previous
+// file at path is left untouched, so a crash or a failed write never
+// leaves a torn checkpoint.
+func WriteFile(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return "", err
+		return err
 	}
-	if _, err := w.WriteTo(f); err != nil {
-		f.Close()
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
-		return "", err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return "", err
-	}
-	return path, nil
+	return err
 }
 
 // rollingFamily lists the stamped siblings of base in ascending epoch

@@ -1,6 +1,8 @@
 package checkpoint
 
 import (
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -114,5 +116,39 @@ func TestRollingFamilyIsolation(t *testing.T) {
 	}
 	if _, _, ok, _ := LatestRolling(b); !ok {
 		t.Fatal("family b lost its image")
+	}
+}
+
+// TestWriteFileFailureKeepsPrevious: a write that fails part-way leaves
+// the previous file byte-for-byte intact and no ".tmp" sibling behind.
+func TestWriteFileFailureKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.ckpt")
+	if err := WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write([]byte("complete image"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("disk full")
+	err := WriteFile(path, func(w io.Writer) error {
+		if _, err := w.Write([]byte("torn")); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("WriteFile = %v, want %v", err, boom)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil || string(got) != "complete image" {
+		t.Fatalf("previous file = %q, %v; want it intact", got, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory holds %d entries, want only run.ckpt: %v", len(entries), entries)
 	}
 }

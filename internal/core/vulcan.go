@@ -54,6 +54,7 @@ type Options struct {
 	// ColloidGate enables the §3.6 Colloid integration: migrations are
 	// suspended for an epoch when bandwidth contention erases the fast
 	// tier's latency advantage.
+	//vulcan:keep the paper's §3.6 Colloid integration; its tests exercise the gate
 	ColloidGate bool
 	// ColloidThreshold is the fast/slow loaded-latency ratio above which
 	// migration is pointless (default 0.85).

@@ -82,11 +82,7 @@ func (a *AsyncMigrator) Snapshot(e *checkpoint.Encoder) {
 	e.U64(a.stats.Retries)
 	e.U64(a.stats.Aborted)
 	e.U64(a.stats.Failed)
-	e.U64(a.stats.Shed)
-	e.U64(a.stats.Displaced)
 	e.F64(a.stats.CyclesUsed)
-	e.Int(a.epochShed)
-	e.Int(a.epochDisplaced)
 }
 
 // Restore reads the migrator state back in place, rebuilding the
@@ -121,11 +117,7 @@ func (a *AsyncMigrator) Restore(d *checkpoint.Decoder) error {
 	a.stats.Retries = d.U64()
 	a.stats.Aborted = d.U64()
 	a.stats.Failed = d.U64()
-	a.stats.Shed = d.U64()
-	a.stats.Displaced = d.U64()
 	a.stats.CyclesUsed = d.F64()
-	a.epochShed = d.Int()
-	a.epochDisplaced = d.Int()
 	return d.Err()
 }
 

@@ -81,10 +81,6 @@ const (
 	// EvAppStop records an application's eviction (dynamic systems
 	// only: fleet-level departures and cross-host rebalances).
 	EvAppStop
-	// EvMigrateShed records a bounded async queue's backpressure
-	// decisions for one epoch: promotions shed at a full backlog and
-	// pending promotions displaced to admit demotions.
-	EvMigrateShed
 
 	// NumEventTypes bounds the enum.
 	NumEventTypes
@@ -109,7 +105,6 @@ var eventTypeNames = [NumEventTypes]string{
 	EvMigrateGiveup:   "migrate.giveup",
 	EvProfileDegraded: "profile.degraded",
 	EvAppStop:         "app-stop",
-	EvMigrateShed:     "migrate.shed",
 }
 
 // String returns the stable wire name used in traces and filters.

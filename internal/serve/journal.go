@@ -53,10 +53,9 @@ type Cmd struct {
 type Header struct {
 	V        int           `json:"v"`
 	Scenario scenario.File `json:"scenario"`
-	// MaxBacklog and Rescore mirror the session knobs that change
-	// simulation arithmetic; a replay must run with the same values.
-	MaxBacklog int  `json:"max_backlog,omitempty"`
-	Rescore    bool `json:"rescore,omitempty"`
+	// Rescore mirrors the session knob that changes simulation
+	// arithmetic; a replay must run with the same value.
+	Rescore bool `json:"rescore,omitempty"`
 }
 
 // Batch is one epoch boundary's executed commands. Boundaries with no
@@ -79,8 +78,11 @@ type record struct {
 	Cmds     []Cmd          `json:"cmds,omitempty"`
 	Finish   *int           `json:"finish,omitempty"`
 
-	MaxBacklog int  `json:"max_backlog,omitempty"`
-	Rescore    bool `json:"rescore,omitempty"`
+	Rescore bool `json:"rescore,omitempty"`
+	// BoundedBacklog is read only to reject journals from daemons that
+	// ran with the removed async backlog bound: replaying one unbounded
+	// would silently diverge from what it recorded.
+	BoundedBacklog int `json:"max_backlog,omitempty"`
 }
 
 // Journal is the append-side handle. Every record is one JSON line,
@@ -201,8 +203,11 @@ func ReadJournal(path string) (*JournalData, error) {
 			if *rec.V != journalVersion {
 				return nil, fmt.Errorf("serve: journal %s version %d (want %d)", path, *rec.V, journalVersion)
 			}
-			d.Header = Header{V: *rec.V, Scenario: *rec.Scenario,
-				MaxBacklog: rec.MaxBacklog, Rescore: rec.Rescore}
+			if rec.BoundedBacklog != 0 {
+				return nil, fmt.Errorf("serve: journal %s was recorded with max_backlog %d; "+
+					"the bounded async backlog is gone, so it cannot be replayed faithfully", path, rec.BoundedBacklog)
+			}
+			d.Header = Header{V: *rec.V, Scenario: *rec.Scenario, Rescore: rec.Rescore}
 		case rec.Epoch != nil:
 			if d.Finished {
 				return nil, fmt.Errorf("serve: journal %s has a batch after the finish trailer", path)

@@ -15,8 +15,25 @@ func testHeader() Header {
 			Policy: "vulcan", Seconds: 10, Seed: 3,
 			Apps: []scenario.App{{Preset: "memcached"}},
 		},
-		MaxBacklog: 64,
-		Rescore:    true,
+		Rescore: true,
+	}
+}
+
+// TestJournalRejectsBoundedBacklog: a header recorded by a daemon that
+// ran with the removed async backlog bound cannot be replayed unbounded
+// without diverging, so reading it is an error, not a silent default.
+func TestJournalRejectsBoundedBacklog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.journal")
+	raw := `{"v":1,"scenario":{"policy":"vulcan","seconds":10,"seed":3,"apps":[{"preset":"memcached"}]},"max_backlog":64}` + "\n" +
+		`{"finish":10}` + "\n"
+	if err := os.WriteFile(path, []byte(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadJournal(path); err == nil || !strings.Contains(err.Error(), "max_backlog") {
+		t.Fatalf("ReadJournal = %v, want a max_backlog rejection", err)
+	}
+	if _, err := Replay(path); err == nil {
+		t.Fatal("Replay accepted a bounded-backlog journal")
 	}
 }
 
@@ -48,7 +65,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Header.V != journalVersion || d.Header.MaxBacklog != 64 || !d.Header.Rescore {
+	if d.Header.V != journalVersion || !d.Header.Rescore {
 		t.Fatalf("header: %+v", d.Header)
 	}
 	if d.Header.Scenario.Policy != "vulcan" || len(d.Header.Scenario.Apps) != 1 {

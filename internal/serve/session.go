@@ -38,10 +38,9 @@ type Options struct {
 	CheckpointEvery  int
 	CheckpointRetain int
 
-	// MaxBacklog and Rescore mirror system.Config.AsyncMaxBacklog and
-	// IncrementalRescore; both are journaled so replays match.
-	MaxBacklog int
-	Rescore    bool
+	// Rescore mirrors system.Config.IncrementalRescore; it is journaled
+	// so replays match.
+	Rescore bool
 }
 
 // departure is one scheduled stop derived from an admit's Depart field,
@@ -130,7 +129,6 @@ func baseConfig(parsed *scenario.Parsed, opts Options, rec *obs.Recorder) system
 		Seed:               parsed.Seed,
 		Faults:             parsed.Faults,
 		AllowDynamic:       true,
-		AsyncMaxBacklog:    opts.MaxBacklog,
 		IncrementalRescore: opts.Rescore,
 	}
 	if rec != nil {
@@ -193,9 +191,8 @@ func NewSession(opts Options) (*Session, error) {
 	}
 	if opts.Journal != "" {
 		s.journal, err = CreateJournal(opts.Journal, Header{
-			Scenario:   opts.Scenario,
-			MaxBacklog: opts.MaxBacklog,
-			Rescore:    opts.Rescore,
+			Scenario: opts.Scenario,
+			Rescore:  opts.Rescore,
 		})
 		if err != nil {
 			s.closeArtifacts()
@@ -220,9 +217,8 @@ func Replay(journalPath string) (*Session, error) {
 		return nil, err
 	}
 	opts := Options{
-		Scenario:   jd.Header.Scenario,
-		MaxBacklog: jd.Header.MaxBacklog,
-		Rescore:    jd.Header.Rescore,
+		Scenario: jd.Header.Scenario,
+		Rescore:  jd.Header.Rescore,
 	}
 	s := &Session{
 		opts:             opts,
@@ -257,7 +253,6 @@ func Recover(opts Options) (*Session, error) {
 		return nil, fmt.Errorf("serve: journal %s records a finished run; nothing to recover", opts.Journal)
 	}
 	opts.Scenario = jd.Header.Scenario
-	opts.MaxBacklog = jd.Header.MaxBacklog
 	opts.Rescore = jd.Header.Rescore
 	parsed, err := resolveServe(opts.Scenario)
 	if err != nil {

@@ -96,7 +96,7 @@ func runLive(t *testing.T, dir string, opts Options) (trace, metrics, journal st
 // matches the live one.
 func TestStreamingParity(t *testing.T) {
 	dir := t.TempDir()
-	tracePath, metricsPath, journalPath := runLive(t, dir, Options{MaxBacklog: 256, Rescore: true})
+	tracePath, metricsPath, journalPath := runLive(t, dir, Options{Rescore: true})
 
 	jd, err := ReadJournal(journalPath)
 	if err != nil {

@@ -281,7 +281,6 @@ func (a *App) admit(sys *System, placer Placer) {
 		Engine:     eng,
 		MaxRetries: 3,
 		BatchPages: 64,
-		MaxBacklog: sys.cfg.AsyncMaxBacklog,
 		RNG:        a.rng.Fork(),
 	})
 	if pf, ok := sys.policy.(ProfilerFactory); ok {

@@ -24,9 +24,10 @@ const (
 	// summary statistics.
 	systemVersion  = 2
 	metricsVersion = 1
-	// appVersion 3 appends the async-migrator backpressure tallies and the
-	// dynamic intensity override.
-	appVersion = 3
+	// appVersion 3 appended the async-migrator backpressure tallies and
+	// the dynamic intensity override; appVersion 4 drops the tallies
+	// with the bounded backlog they counted.
+	appVersion = 4
 	// profilerVersion tracks the profile package's snapshot layout.
 	profilerVersion = profile.SnapshotVersion
 	policyVersion   = 1

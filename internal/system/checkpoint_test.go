@@ -191,6 +191,34 @@ func TestResumeRejectsV1ProfilerSection(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsV3AppSection: app sections at wire version 3 carry
+// the removed bounded backlog's shed/displace tallies. Resume must
+// reject them by version rather than decode a layout it no longer
+// writes.
+func TestResumeRejectsV3AppSection(t *testing.T) {
+	sys := New(ckptConfig(nil))
+	runEpochs(sys, 4)
+	var blob bytes.Buffer
+	if err := sys.Checkpoint(&blob); err != nil {
+		t.Fatal(err)
+	}
+	rewritten := 0
+	v3 := rewriteSections(t, blob.Bytes(), func(name string, version uint32, payload []byte) (uint32, []byte) {
+		if !strings.HasPrefix(name, "app.") || strings.HasSuffix(name, ".profiler") {
+			return version, payload
+		}
+		rewritten++
+		return 3, payload
+	})
+	if rewritten == 0 {
+		t.Fatal("checkpoint has no app sections")
+	}
+	_, err := Resume(bytes.NewReader(v3), ckptConfig(nil))
+	if err == nil || !strings.Contains(err.Error(), "version 3") {
+		t.Fatalf("Resume = %v, want a version-3 app section rejection", err)
+	}
+}
+
 // rewriteSections re-encodes a checkpoint container, passing every
 // section through fn.
 func rewriteSections(t *testing.T, blob []byte, fn func(name string, version uint32, payload []byte) (uint32, []byte)) []byte {

@@ -33,6 +33,7 @@ type Config struct {
 	// DisableTHP turns off transparent huge pages. By default every
 	// app's RSS is mapped as 2MiB huge pages for TLB coverage and split
 	// into base pages when migration touches a group (§3.5).
+	//vulcan:keep policy tests use base-page mapping as a fixture
 	DisableTHP bool
 
 	// Obs receives structured telemetry from every layer of the run
@@ -66,13 +67,6 @@ type Config struct {
 	// every hook on the exact pre-fault arithmetic, so a faultless run
 	// is byte-identical to one built without the subsystem.
 	Faults *fault.Plan
-
-	// AsyncMaxBacklog bounds each app's async migration queue (0 =
-	// unbounded, the batch default). Long-running daemons set it so an
-	// admission burst cannot grow a departed tenant's backlog without
-	// limit; the queue sheds and displaces deterministically (see
-	// migrate.AsyncConfig.MaxBacklog).
-	AsyncMaxBacklog int
 
 	// IncrementalRescore lets a policy implementing Rescorer re-evaluate
 	// only the dirty app set on admissions, departures and intensity
